@@ -153,25 +153,26 @@ def _slide(a, b):
 
 
 def _normalize_factors(factors: list, m: int) -> tuple[int, tuple]:
-    """Left-weight a factor list; return (delta surplus, canonical factors)."""
+    """Left-weight a factor list; return (delta surplus, canonical factors).
+
+    Right multiplication of a left normal form by one permutation braid
+    (Epstein et al., *Word Processing in Groups*, ch. 9; ElRifai-Morton
+    1994): the list is kept left-weighted while each new factor is appended
+    and slid backward pair by pair.  The pass stops at the first pair that is
+    already left-weighted, since every pair before it was left-weighted
+    before the append and is untouched.
+    """
     ident = _idt(m)
-    fs = [f for f in factors if f != ident]
-    k = len(fs)
-    for i in range(k - 1):
-        fs[i], fs[i + 1] = _slide(fs[i], fs[i + 1])
-        for j in range(i - 1, -1, -1):
-            fs[j], fs[j + 1] = _slide(fs[j], fs[j + 1])
-        for j in range(i + 1, k - 1):
-            fs[j], fs[j + 1] = _slide(fs[j], fs[j + 1])
-    # safety sweep to a fixpoint; normally already stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs) - 1):
-            na, nb = _slide(fs[i], fs[i + 1])
-            if na != fs[i] or nb != fs[i + 1]:
-                fs[i], fs[i + 1] = na, nb
-                changed = True
+    fs: list = []
+    for f in factors:
+        if f == ident:
+            continue
+        fs.append(f)
+        for j in range(len(fs) - 2, -1, -1):
+            a, b = _slide(fs[j], fs[j + 1])
+            if a == fs[j]:
+                break
+            fs[j], fs[j + 1] = a, b
     w0 = _w0(m)
     surplus = 0
     while fs and fs[0] == w0:

@@ -1,7 +1,7 @@
 """Integer Smith normal form and first homology of the presentations.
 
 ``smith_normal_form`` returns D = U * M * V with U, V unimodular (their
-determinants are tracked op-by-op and asserted to be +-1) and D diagonal
+determinants are tracked op-by-op and checked to be +-1) and D diagonal
 with nonnegative entries in a divisibility chain d_1 | d_2 | ... .
 
 First homology of a presentation is the cokernel of the relator exponent
@@ -149,13 +149,13 @@ def smith_normal_form(mat: list[list[int]]) -> SNFResult:
         A[t][t], A[t + 1][t + 1] = g, a * bg
         t = max(0, t - 1)
 
-    assert abs(det["u"]) == 1 and abs(det["v"]) == 1, "transforms must stay unimodular"
+    if abs(det["u"]) != 1 or abs(det["v"]) != 1:
+        raise ArithmeticError("Smith normal form: transforms are not unimodular")
     diag = [A[i][i] for i in range(min(r, c))]
     for i in range(len(diag) - 1):
-        if diag[i + 1] and diag[i]:
-            assert diag[i + 1] % diag[i] == 0
-        else:
-            assert not diag[i + 1] or diag[i]
+        if diag[i + 1] and (not diag[i] or diag[i + 1] % diag[i]):
+            raise ArithmeticError(f"Smith normal form: d_{i + 1} = {diag[i]} does not "
+                                  f"divide d_{i + 2} = {diag[i + 1]}")
     return SNFResult(
         tuple(tuple(row) for row in A),
         tuple(tuple(row) for row in U),

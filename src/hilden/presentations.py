@@ -321,6 +321,14 @@ def _f_relator_tokens(n: int) -> list[str]:
 
 # --- the seven builders ----------------------------------------------------------
 
+def _checked(pres: Presentation, expected: int) -> Presentation:
+    """Guard a builder against drifting from its closed-form relator count."""
+    if len(pres.relators) != expected:
+        raise RuntimeError(f"{pres.name} n={pres.n}: built {len(pres.relators)} "
+                           f"relators, closed form says {expected}")
+    return pres
+
+
 def build_LH(n: int) -> Presentation:
     """Presentation on s_i, r_i, t_i, rho (families (1)-(5))."""
     _check_n(n)
@@ -330,9 +338,7 @@ def build_LH(n: int) -> Presentation:
     _emit_lh_45(e, n)
     expected = (2 * (n - 1) * (n - 2) + 2 * n * (n - 1) + (n + 1) * n // 2
                 + n + (n + 1) + 5 * (n - 1) + 5 * n + 3)
-    pres = e.build("lh", n)
-    assert len(pres.relators) == expected, (len(pres.relators), expected)
-    return pres
+    return _checked(e.build("lh", n), expected)
 
 
 def build_PH1(n: int) -> Presentation:
@@ -346,9 +352,7 @@ def build_PH1(n: int) -> Presentation:
     quads = N * (N - 1) * (N - 2) * (N - 3) // 24
     expected = (pairs * N + 2 * pairs * (N - 1) + pairs
                 + 18 * quads + 24 * triples + 2 * pairs)
-    pres = e.build("ph1", n)
-    assert len(pres.relators) == expected, (len(pres.relators), expected)
-    return pres
+    return _checked(e.build("ph1", n), expected)
 
 
 def build_PH(n: int) -> Presentation:
@@ -358,9 +362,7 @@ def build_PH(n: int) -> Presentation:
     _emit_pure_families(e, n)
     e.add("(Z)", "", _z_relator_tokens(n))
     e.add("(F)", "", _f_relator_tokens(n))
-    pres = e.build("ph", n)
-    assert len(pres.relators) == len(build_PH1(n).relators) + 2
-    return pres
+    return e.build("ph", n)
 
 
 def build_VW(n: int) -> Presentation:
@@ -378,9 +380,7 @@ def build_VW(n: int) -> Presentation:
     for i in range(1, n + 1):
         e.add("(comm-sr)", f"[{i}]", _comm(_s(i), _RHO))
     expected = n + (n - 1) * (n - 2) // 2 + (n - 1) + 1 + n
-    pres = e.build("vw", n)
-    assert len(pres.relators) == expected
-    return pres
+    return _checked(e.build("vw", n), expected)
 
 
 def build_intermediate_LH(n: int) -> Presentation:
@@ -645,17 +645,6 @@ def _check_one_braid_image(m: int, letters: list[int], budget: int) -> tuple[str
         return "UNRESOLVED", None
 
 
-def _verify_rows_serial(m: int, items: list[tuple[str, str, list[int]]],
-                        budget: int) -> list[VerifyRow]:
-    rows = []
-    for rid, tag, letters in items:
-        t0 = time.perf_counter_ns()
-        status, closes = _check_one_braid_image(m, letters, budget)
-        rows.append(VerifyRow(rid, tag, status, closes,
-                              (time.perf_counter_ns() - t0) // 1000))
-    return rows
-
-
 def _worker_verify(args) -> tuple[str, str, str, str | None, int]:
     m, rid, tag, letters, budget = args
     t0 = time.perf_counter_ns()
@@ -665,11 +654,11 @@ def _worker_verify(args) -> tuple[str, str, str, str | None, int]:
 
 def _verify_rows(m: int, items: list[tuple[str, str, list[int]]],
                  budget: int, jobs: int) -> list[VerifyRow]:
+    args = [(m, rid, tag, letters, budget) for rid, tag, letters in items]
     if jobs <= 1 or len(items) < 4:
-        return _verify_rows_serial(m, items, budget)
+        return [VerifyRow(*_worker_verify(a)) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        results = ex.map(_worker_verify,
-                         [(m, rid, tag, letters, budget) for rid, tag, letters in items],
+        results = ex.map(_worker_verify, args,
                          chunksize=max(1, len(items) // (4 * jobs)))
         return [VerifyRow(*r) for r in results]
 
@@ -717,7 +706,10 @@ def verify(pres: Presentation, jobs: int = 1, budget: int = M.DEFAULT_BUDGET) ->
 # --- braid-level identity schedule (conjugation ladders etc.) -----------------------
 
 def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
-    """(id, tag, braid letters of lhs*rhs^-1) for the identity suite."""
+    """(id, tag, braid letters of lhs*rhs^-1) for the identity suite: the
+    relator families of ``prop-lh`` and ``ph1``, then the conjugation ladders,
+    index slides, hoists and the loop and full-twist words that no builder
+    emits."""
     N = n + 1
     m = 2 * n + 2
 
@@ -744,22 +736,16 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
     def add(tag: str, idx: str, letters: list[int]) -> None:
         out.append((f"{tag}{idx}", tag, letters))
 
-    # commutation and conjugation data of the s/r/t/rho dictionary: reuse the
-    # presentation families, expanded through the assignment
-    lh = build_LH(n)
-    assign = braid_assignment(lh)
-    for rid, tag, rel in zip(lh.ids, lh.tags, lh.relators):
-        if tag in ("(4)", "(5)"):
-            continue  # these are sphere-level words, scheduled below
-        fam = "dict-square" if tag == "(3)" else (
-            "dict-comm" if tag.startswith("(1)") else "dict-conj")
-        add(fam, rid, image_letters(rel, assign))
-
-    # definitional pair identities
-    for i in range(1, n + 1):
-        add("pxy-def", f"[p,{i}]", eq(gw("p", i, i + 1), cat(gw("s", i), gw("s", i))))
-        add("pxy-def", f"[x,{i}]", eq(gw("x", i, i + 1), cat(gw("s", i), inv(gw("r", i)))))
-        add("pxy-def", f"[y,{i}]", eq(gw("y", i, i + 1), cat(inv(gw("r", i)), gw("s", i))))
+    # families the builders emit, expanded through their assignments.  (4)
+    # and (5) are sphere-level words, (6)(b) and (6)(c) restate the
+    # dictionary's own definitions, and (C-tt) repeats (1)(c).
+    prop, ph1 = build_prop_LH(n), build_PH1(n)
+    prop_assign = braid_assignment(prop)
+    for pres, assign, skip in ((prop, prop_assign, ("(4)", "(5)", "(6)(b)", "(6)(c)")),
+                               (ph1, braid_assignment(ph1), ("(C-tt)",))):
+        for rid, tag, rel in zip(pres.ids, pres.tags, pres.relators):
+            if tag not in skip:
+                out.append((pres.name + rid, pres.name + tag, image_letters(rel, assign)))
 
     # block-twist conjugation ladders
     for i in range(1, N + 1):
@@ -778,20 +764,6 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
                         eq(cat(down, gw("t", k)), cat(gw("t", k - 1), down)))
                     add("t-ladder", f"[asc-mid,{i},{j},k={k},e={ex}]",
                         eq(cat(up, gw("t", k - 1)), cat(gw("t", k), up)))
-
-    # pair-vs-twist and pair-vs-(pair*twist) commutation
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            for k in range(1, N + 1):
-                add("pxy-t-comm", f"[p,{i},{j};{k}]", comm(gw("p", i, j), gw("t", k)))
-                if k != i:
-                    add("pxy-t-comm", f"[x,{i},{j};{k}]", comm(gw("x", i, j), gw("t", k)))
-                if k != j:
-                    add("pxy-t-comm", f"[y,{i},{j};{k}]", comm(gw("y", i, j), gw("t", k)))
-            add("pxy-pt-comm", f"[x,{i},{j}]",
-                comm(gw("x", i, j), cat(gw("p", i, j), gw("t", i))))
-            add("pxy-pt-comm", f"[y,{i},{j}]",
-                comm(gw("y", i, j), cat(gw("p", i, j), gw("t", j))))
 
     # index-slides and the hoist form of distant pairs
     for al in "pxy":
@@ -816,84 +788,26 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
                 add("hoist", f"[{al},{i},{j}]",
                     eq(gw(al, i, j), cat(pre, gw(al, j - 1, j), inv(pre))))
 
-    # distant-pair commutation schedules
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            for k in range(j + 1, N + 1):
-                for l in range(k + 1, N + 1):
-                    for a in "pxy":
-                        for b in "pxy":
-                            add("cross-comm", f"[{a}{i}.{j},{b}{k}.{l}]",
-                                comm(gw(a, i, j), gw(b, k, l)))
-                            add("conj-cross-comm", f"[{a}{i}.{k},{b}{j}.{l}]",
-                                comm(gw(a, i, k),
-                                     cat(gw("p", j, k), gw(b, j, l), inv(gw("p", j, k)))))
-    for a_ in range(1, N + 1):
-        for b_ in range(a_ + 1, N + 1):
-            for c_ in range(b_ + 1, N + 1):
-                for (al, be, ga) in ROW1:
-                    add("triple-comm", f"[ab|{al}{be}{ga};{a_},{b_},{c_}]",
-                        comm(gw(al, a_, b_), cat(gw(be, a_, c_), gw(ga, b_, c_))))
-                for (al, be, ga) in ROW2:
-                    add("triple-comm", f"[ac|{al}{be}{ga};{a_},{b_},{c_}]",
-                        comm(gw(al, a_, c_), cat(gw(be, b_, c_), gw(ga, a_, b_))))
-                for (al, be, ga) in ROW3:
-                    add("triple-comm", f"[bc|{al}{be}{ga};{a_},{b_},{c_}]",
-                        comm(gw(al, b_, c_), cat(gw(be, a_, b_), gw(ga, a_, c_))))
-
-    # shift conjugation
-    sw = gw("shift")
-    for j in range(2, N + 1):
-        for (al, be) in [("p", "p"), ("x", "y"), ("y", "x")]:
-            add("shift-wrap", f"[{al}->{be},j={j}]",
-                eq(cat(sw, gw(al, 1, j), inv(sw)), gw(be, j - 1, N)))
-    for i in range(2, N + 1):
-        for j in range(i + 1, N + 1):
-            for al in "pxy":
-                add("shift-diag", f"[{al},{i},{j}]",
-                    eq(cat(sw, gw(al, i, j), inv(sw)), gw(al, i - 1, j - 1)))
-
-    # rho conjugation
+    # rho commutes with the block twists
     for i in range(1, N + 1):
         add("rho-t-comm", f"[{i}]", comm(gw("rho"), gw("t", i)))
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            add("rho-p-comm", f"[{i},{j}]", comm(gw("rho"), gw("p", i, j)))
-            for al in "xy":
-                add("rho-flip", f"[{al},{i},{j}]",
-                    eq(cat(gw("rho"), gw(al, i, j), inv(gw("rho"))),
-                       cat(inv(gw(al, i, j)), gw("p", i, j))))
 
-    # the loop word and the full twist
-    zw: tuple[int, ...] = ()
-    for j in range(N, 1, -1):
-        zw += inv(gw("x", 1, j))
-    for j in range(2, N + 1):
-        zw += gw("p", 1, j)
-    zw += gw("t", 1)
-    add("z-word", "", eq(zw, gw("z")))
-    fw: tuple[int, ...] = ()
-    for i in range(1, N + 1):
-        fw += gw("t", i)
-    for j in range(2, N + 1):
-        for i in range(1, j):
-            fw += gw("p", i, j)
-    add("fulltwist-word", "", eq(fw, B.full_twist(m).letters))
-    zeta: tuple[int, ...] = ()
-    for i in range(1, n + 1):
-        zeta += gw("r", i)
-    for i in range(n, 0, -1):
-        zeta += gw("s", i)
-    zeta += gw("t", 1)
-    add("zeta-image", "", eq(zeta, gw("z")))
+    # the loop word and the full twist, spelled as in (Z), (F) and (4)
+    def image(toks: list[str]) -> list[int]:
+        return image_letters(parse_word(prop.alphabet, " ".join(toks)), prop_assign)
+
+    add("z-word", "", eq(image(_z_relator_tokens(n)), gw("z")))
+    add("fulltwist-word", "", eq(image(_f_relator_tokens(n)), B.full_twist(m).letters))
+    add("zeta-image", "", eq(image(_zeta_tokens(n)), gw("z")))
     return out
 
 
 def verify_lemma_identities(n: int, jobs: int = 1,
                             budget: int = M.DEFAULT_BUDGET) -> VerificationReport:
-    """Verify the worked braid identities behind the presentations: ladders,
-    slides, commutation schedules, shift and rho conjugation, the loop and
-    full-twist words.  Supported for n <= 3."""
+    """Verify the worked braid identities behind the presentations: the
+    builders' relator families (dictionary, commutation schedules, shift and
+    rho conjugation), ladders, slides, hoists, the loop and full-twist words.
+    Supported for n <= 3."""
     _check_n(n)
     if n > 3:
         raise ValueError("identity suite is sized for n <= 3")

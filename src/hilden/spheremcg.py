@@ -32,11 +32,9 @@ from .words import Alphabet, Word, cyclically_reduce
 DEFAULT_BUDGET = 10**6
 
 # The action rule above is one of the two mirror conventions in circulation;
-# the flipped one is obtained by acting with the inverse letters.  All
-# package-internal checks pin the unflipped rule (it matches the
-# braid-to-symmetric-group map used everywhere else).
-FLIP_ARTIN_CONVENTION = False
-
+# the flipped one is obtained by acting with the inverse letters.  The
+# package uses the unflipped rule (it matches the braid-to-symmetric-group
+# map used everywhere else), and every verify report records it.
 ARTIN_CONVENTION = "sigma_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i (unflipped)"
 
 
@@ -122,7 +120,7 @@ def _inv(ls) -> list:
     return [-c for c in reversed(ls)]
 
 
-def artin_action(b: BraidWord, budget: int = DEFAULT_BUDGET, flip: bool = FLIP_ARTIN_CONVENTION) -> FreeAuto:
+def artin_action(b: BraidWord, budget: int = DEFAULT_BUDGET) -> FreeAuto:
     """The sphere mapping-class action of a braid word, as a rank m-1
     automorphism.  Raises :class:`BudgetExceededError` when the summed image
     length passes ``budget``."""
@@ -133,8 +131,6 @@ def artin_action(b: BraidWord, budget: int = DEFAULT_BUDGET, flip: bool = FLIP_A
     imgs: list[list[int]] = [[i + 1] for i in range(rank)]
     letters = b.letters
     for done, c in enumerate(letters, start=1):
-        if flip:
-            c = -c
         j = abs(c) - 1  # 0-based rank slot of the lower strand
         if j < rank - 1:
             if c > 0:

@@ -343,3 +343,28 @@ def test_nf_preserves_the_underlying_permutation(ls):
     for f in nf.factors:
         acc = compose(acc, f)
     assert acc == perm_of_braid(b)
+
+
+long_word_st = st.integers(3, 10).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(1 - m, m - 1).filter(bool), max_size=60)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_word_st)
+def test_normal_form_is_left_weighted(case):
+    m, ls = case
+    b = braid_word(m, ls)
+    nf = normal_form(b)
+    ident, w0 = tuple(range(m)), tuple(range(m - 1, -1, -1))
+    factors = [f.images for f in nf.factors]
+    assert all(f not in (ident, w0) for f in factors)
+    for a, c in zip(factors, factors[1:]):
+        cinv = [0] * m
+        for x, v in enumerate(c):
+            cinv[v] = x
+        finishers = {i for i in range(m - 1) if a[i] > a[i + 1]}
+        starters = {i for i in range(m - 1) if cinv[i] > cinv[i + 1]}
+        assert starters <= finishers
+    # each factor's length is its inversion count; delta has m(m-1)/2 letters
+    inversions = sum(1 for f in factors for x in range(m) for y in range(x + 1, m) if f[x] > f[y])
+    assert nf.power * m * (m - 1) // 2 + inversions == exponent_sum(b)

@@ -9,7 +9,6 @@ from hilden.perms import psi_of_braid_word
 from hilden.spheremcg import (
     ARTIN_CONVENTION,
     DEFAULT_BUDGET,
-    FLIP_ARTIN_CONVENTION,
     BudgetExceededError,
     artin_action,
     class_of_puncture,
@@ -78,7 +77,6 @@ def test_class_of_puncture_tracks_loops():
 
 
 def test_convention_hook_is_recorded():
-    assert FLIP_ARTIN_CONVENTION is False
     assert isinstance(ARTIN_CONVENTION, str) and "x_i" in ARTIN_CONVENTION
 
 
