@@ -160,7 +160,9 @@ def _normalize_factors(factors: list, m: int) -> tuple[int, tuple]:
     1994): the list is kept left-weighted while each new factor is appended
     and slid backward pair by pair.  The pass stops at the first pair that is
     already left-weighted, since every pair before it was left-weighted
-    before the append and is untouched.
+    before the append and is untouched.  Only the appended factor can end up
+    as the identity: every earlier factor keeps a starter that its left
+    neighbour already finishes.
     """
     ident = _idt(m)
     fs: list = []
@@ -173,13 +175,13 @@ def _normalize_factors(factors: list, m: int) -> tuple[int, tuple]:
             if a == fs[j]:
                 break
             fs[j], fs[j + 1] = a, b
+        if fs[-1] == ident:
+            fs.pop()
     w0 = _w0(m)
     surplus = 0
     while fs and fs[0] == w0:
         surplus += 1
         fs.pop(0)
-    while fs and fs[-1] == ident:
-        fs.pop()
     return surplus, tuple(fs)
 
 
@@ -398,8 +400,7 @@ def build_generator(name: str, n: int, i: int | None = None, j: int | None = Non
 # --- token grammar ------------------------------------------------------------
 
 _TOK_SIGMA = re.compile(r"^([gG])(\d+)$")
-_TOK_ONE = re.compile(r"^([srtSRT])(\d+)$")
-_TOK_PAIR = re.compile(r"^([pxyPXY])(\d+)\.(\d+)$")
+_TOK_NAMED = re.compile(r"(rho)|([srt])(\d+)|([pxy])(\d+)\.(\d+)")
 
 
 def parse_braid_text(text: str, *, strands: int | None = None, n: int | None = None) -> BraidWord:
@@ -427,29 +428,17 @@ def parse_braid_text(text: str, *, strands: int | None = None, n: int | None = N
             continue
         if n is None:
             raise ValueError(f"token {pos} ({tok!r}): named generators need n")
-        if tok in ("rho", "RHO"):
-            ls = _rho_letters(n)
-            letters += ls if tok == "rho" else _inv_letters(ls)
-            continue
-        mt = _TOK_ONE.match(tok)
-        if mt:
-            kind, idx = mt.group(1), int(mt.group(2))
-            try:
-                w = build_generator(kind.lower(), n, idx)
-            except ValueError as e:
-                raise ValueError(f"token {pos} ({tok!r}): {e}") from None
-            letters += w.letters if kind.islower() else _inv_letters(w.letters)
-            continue
-        mt = _TOK_PAIR.match(tok)
-        if mt:
-            kind, a, b = mt.group(1), int(mt.group(2)), int(mt.group(3))
-            try:
-                w = build_generator(kind.lower(), n, a, b)
-            except ValueError as e:
-                raise ValueError(f"token {pos} ({tok!r}): {e}") from None
-            letters += w.letters if kind.islower() else _inv_letters(w.letters)
-            continue
-        raise ValueError(f"token {pos} ({tok!r}): unrecognized")
+        low = tok.lower()
+        # all lowercase names the generator, all uppercase its inverse
+        mt = _TOK_NAMED.fullmatch(low) if tok in (low, low.upper()) else None
+        if mt is None:
+            raise ValueError(f"token {pos} ({tok!r}): unrecognized")
+        name, *idx = (g for g in mt.groups() if g is not None)
+        try:
+            w = build_generator(name, n, *map(int, idx))
+        except ValueError as e:
+            raise ValueError(f"token {pos} ({tok!r}): {e}") from None
+        letters += w.letters if tok == low else w.inverse().letters
     return braid_word(m, letters)
 
 

@@ -1,8 +1,9 @@
 """Integer Smith normal form and first homology of the presentations.
 
-``smith_normal_form`` returns D = U * M * V with U, V unimodular (their
-determinants are tracked op-by-op and checked to be +-1) and D diagonal
-with nonnegative entries in a divisibility chain d_1 | d_2 | ... .
+``smith_normal_form`` returns D = U * M * V with U, V unimodular (built
+from swaps, negations, additions of a multiple of one line to another, and
+2x2 transforms of determinant 1) and D diagonal with nonnegative entries in
+a divisibility chain d_1 | d_2 | ... .
 
 First homology of a presentation is the cokernel of the relator exponent
 matrix.  Coordinates of a named class in the diagonalized quotient come from
@@ -25,8 +26,6 @@ class SNFResult:
     D: tuple[tuple[int, ...], ...]
     U: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
-    det_u: int
-    det_v: int
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(len(self.D), len(self.D[0]) if self.D else 0)
@@ -42,13 +41,11 @@ def smith_normal_form(mat: list[list[int]]) -> SNFResult:
     A = [[int(x) for x in row] for row in mat]
     U = [[int(i == j) for j in range(r)] for i in range(r)]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
-    det = {"u": 1, "v": 1}
 
     def row_swap(i, j):
         if i != j:
             A[i], A[j] = A[j], A[i]
             U[i], U[j] = U[j], U[i]
-            det["u"] = -det["u"]
 
     def col_swap(i, j):
         if i != j:
@@ -56,7 +53,6 @@ def smith_normal_form(mat: list[list[int]]) -> SNFResult:
                 row[i], row[j] = row[j], row[i]
             for row in V:
                 row[i], row[j] = row[j], row[i]
-            det["v"] = -det["v"]
 
     def row_add(dst, src, q):
         if q:
@@ -77,7 +73,6 @@ def smith_normal_form(mat: list[list[int]]) -> SNFResult:
     def row_negate(i):
         A[i] = [-x for x in A[i]]
         U[i] = [-x for x in U[i]]
-        det["u"] = -det["u"]
 
     def find_pivot(t):
         best = None
@@ -149,8 +144,6 @@ def smith_normal_form(mat: list[list[int]]) -> SNFResult:
         A[t][t], A[t + 1][t + 1] = g, a * bg
         t = max(0, t - 1)
 
-    if abs(det["u"]) != 1 or abs(det["v"]) != 1:
-        raise ArithmeticError("Smith normal form: transforms are not unimodular")
     diag = [A[i][i] for i in range(min(r, c))]
     for i in range(len(diag) - 1):
         if diag[i + 1] and (not diag[i] or diag[i + 1] % diag[i]):
@@ -160,7 +153,6 @@ def smith_normal_form(mat: list[list[int]]) -> SNFResult:
         tuple(tuple(row) for row in A),
         tuple(tuple(row) for row in U),
         tuple(tuple(row) for row in V),
-        det["u"], det["v"],
     )
 
 

@@ -69,6 +69,11 @@ def _t(i: int) -> list[str]:
     return [f"t{i}"]
 
 
+def _t_all(n: int) -> list[str]:
+    """t_1 ... t_{n+1}: one token per block."""
+    return [f"t{i}" for i in range(1, n + 2)]
+
+
 _RHO = ["rho"]
 _SHIFT = ["s"]
 
@@ -161,7 +166,7 @@ class _Emitter:
 def _lh_generators(n: int) -> list[str]:
     return ([f"s{i}" for i in range(1, n + 1)]
             + [f"r{i}" for i in range(1, n + 1)]
-            + [f"t{i}" for i in range(1, n + 2)]
+            + _t_all(n)
             + ["rho"])
 
 
@@ -225,11 +230,33 @@ def _emit_lh_12(e: _Emitter, n: int) -> None:
               _eq(_t(i) + _s(i) + _s(i) + _r(i), _r(i) + _s(i) + _s(i) + _t(i + 1)))
 
 
-def _emit_rho_square(e: _Emitter, n: int) -> None:
-    rhs: list[str] = []
+def _emit_rho_square(e: _Emitter, n: int, tag: str) -> None:
+    e.add(tag, "", _eq(_RHO + _RHO, _t_all(n)))
+
+
+def _emit_s_braid(e: _Emitter, n: int, far_tag: str, braid_tag: str) -> None:
+    """Far commutation and the braid relation of the block swaps s_i."""
+    for i in range(1, n + 1):
+        for j in range(i + 2, n + 1):
+            e.add(far_tag, f"[{i},{j}]", _comm(_s(i), _s(j)))
+    for i in range(1, n):
+        e.add(braid_tag, f"[{i}]", _eq(_s(i) + _s(i + 1) + _s(i), _s(i + 1) + _s(i) + _s(i + 1)))
+
+
+def _emit_s_rho_comm(e: _Emitter, n: int, tag: str) -> None:
+    for i in range(1, n + 1):
+        e.add(tag, f"[{i}]", _comm(_s(i), _RHO))
+
+
+def _emit_rho_pairs(e: _Emitter, n: int, p_tag: str, xy_tag: str) -> None:
+    """rho commutes with p_{i,j} and sends x/y_{i,j} to its inverse times p_{i,j}."""
     for i in range(1, n + 2):
-        rhs += _t(i)
-    e.add("(3)", "", _eq(_RHO + _RHO, rhs))
+        for j in range(i + 1, n + 2):
+            e.add(p_tag, f"[{i},{j}]", _comm(_RHO, _pair("p", i, j)))
+            for al in "xy":
+                e.add(xy_tag, f"[{al},{i},{j}]",
+                      _eq(_RHO + _pair(al, i, j) + _iv(_RHO),
+                          _iv(_pair(al, i, j)) + _pair("p", i, j)))
 
 
 def _zeta_tokens(n: int) -> list[str]:
@@ -244,14 +271,11 @@ def _zeta_tokens(n: int) -> list[str]:
 
 def _emit_lh_45(e: _Emitter, n: int) -> None:
     e.add("(4)", "", _zeta_tokens(n))
-    w5: list[str] = []
-    for i in range(1, n + 2):
-        w5 += _t(i)
     stairs: list[str] = []
     for a in range(1, n + 1):
         for b in range(a, 0, -1):
             stairs += _s(b)
-    e.add("(5)", "", w5 + stairs + stairs)
+    e.add("(5)", "", _t_all(n) + stairs + stairs)
 
 
 def _emit_pure_families(e: _Emitter, n: int) -> None:
@@ -309,11 +333,8 @@ def _z_relator_tokens(n: int) -> list[str]:
 
 
 def _f_relator_tokens(n: int) -> list[str]:
-    N = n + 1
-    toks: list[str] = []
-    for i in range(1, N + 1):
-        toks += _t(i)
-    for j in range(2, N + 1):
+    toks = _t_all(n)
+    for j in range(2, n + 2):
         for i in range(1, j):
             toks += _pair("p", i, j)
     return toks
@@ -334,7 +355,7 @@ def build_LH(n: int) -> Presentation:
     _check_n(n)
     e = _Emitter(_lh_generators(n))
     _emit_lh_12(e, n)
-    _emit_rho_square(e, n)
+    _emit_rho_square(e, n, "(3)")
     _emit_lh_45(e, n)
     expected = (2 * (n - 1) * (n - 2) + 2 * n * (n - 1) + (n + 1) * n // 2
                 + n + (n + 1) + 5 * (n - 1) + 5 * n + 3)
@@ -344,7 +365,7 @@ def build_LH(n: int) -> Presentation:
 def build_PH1(n: int) -> Presentation:
     """Pure block group, framed version: p/x/y pairs and block twists t."""
     _check_n(n)
-    e = _Emitter(_pair_generators(n) + [f"t{i}" for i in range(1, n + 2)])
+    e = _Emitter(_pair_generators(n) + _t_all(n))
     _emit_pure_families(e, n)
     N = n + 1
     pairs = N * (N - 1) // 2
@@ -358,7 +379,7 @@ def build_PH1(n: int) -> Presentation:
 def build_PH(n: int) -> Presentation:
     """Pure block group on the sphere: adds the loop and full-twist relators."""
     _check_n(n)
-    e = _Emitter(_pair_generators(n) + [f"t{i}" for i in range(1, n + 2)])
+    e = _Emitter(_pair_generators(n) + _t_all(n))
     _emit_pure_families(e, n)
     e.add("(Z)", "", _z_relator_tokens(n))
     e.add("(F)", "", _f_relator_tokens(n))
@@ -371,14 +392,9 @@ def build_VW(n: int) -> Presentation:
     e = _Emitter([f"s{i}" for i in range(1, n + 1)] + ["rho"])
     for i in range(1, n + 1):
         e.add("(invol-s)", f"[{i}]", _s(i) + _s(i))
-    for i in range(1, n + 1):
-        for j in range(i + 2, n + 1):
-            e.add("(far)", f"[{i},{j}]", _comm(_s(i), _s(j)))
-    for i in range(1, n):
-        e.add("(braid)", f"[{i}]", _eq(_s(i) + _s(i + 1) + _s(i), _s(i + 1) + _s(i) + _s(i + 1)))
+    _emit_s_braid(e, n, "(far)", "(braid)")
     e.add("(invol-r)", "", _RHO + _RHO)
-    for i in range(1, n + 1):
-        e.add("(comm-sr)", f"[{i}]", _comm(_s(i), _RHO))
+    _emit_s_rho_comm(e, n, "(comm-sr)")
     expected = n + (n - 1) * (n - 2) // 2 + (n - 1) + 1 + n
     return _checked(e.build("vw", n), expected)
 
@@ -393,17 +409,9 @@ def build_intermediate_LH(n: int) -> Presentation:
     e.add("(F)", "", _f_relator_tokens(n))
     for i in range(1, n + 1):
         e.add("(B-sq)", f"[{i}]", _eq(_s(i) + _s(i), _pair("p", i, i + 1)))
-    for i in range(1, n + 1):
-        for j in range(i + 2, n + 1):
-            e.add("(B-far)", f"[{i},{j}]", _comm(_s(i), _s(j)))
-    for i in range(1, n):
-        e.add("(B-braid)", f"[{i}]", _eq(_s(i) + _s(i + 1) + _s(i), _s(i + 1) + _s(i) + _s(i + 1)))
-    rhs: list[str] = []
-    for i in range(1, N + 1):
-        rhs += _t(i)
-    e.add("(B-rho)", "", _eq(_RHO + _RHO, rhs))
-    for i in range(1, n + 1):
-        e.add("(B-srho)", f"[{i}]", _comm(_s(i), _RHO))
+    _emit_s_braid(e, n, "(B-far)", "(B-braid)")
+    _emit_rho_square(e, n, "(B-rho)")
+    _emit_s_rho_comm(e, n, "(B-srho)")
     for k in range(1, n + 1):
         for i in range(1, N + 1):
             if i == k:
@@ -440,13 +448,7 @@ def build_intermediate_LH(n: int) -> Presentation:
                           _eq(_s(k) + _pair(al, i, j) + _iv(_s(k)), rhs))
     for i in range(1, N + 1):
         e.add("(A2)(a)", f"[{i}]", _comm(_RHO, _t(i)))
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            e.add("(A2)(b)", f"[{i},{j}]", _comm(_RHO, _pair("p", i, j)))
-            for al in "xy":
-                e.add("(A2)(c)", f"[{al},{i},{j}]",
-                      _eq(_RHO + _pair(al, i, j) + _iv(_RHO),
-                          _iv(_pair(al, i, j)) + _pair("p", i, j)))
+    _emit_rho_pairs(e, n, "(A2)(b)", "(A2)(c)")
     return e.build("intermediate-lh", n)
 
 
@@ -457,7 +459,7 @@ def build_prop_LH(n: int) -> Presentation:
     N = n + 1
     e = _Emitter(_lh_generators(n) + ["s"] + _pair_generators(n))
     _emit_lh_12(e, n)
-    _emit_rho_square(e, n)
+    _emit_rho_square(e, n, "(3)")
     _emit_lh_45(e, n)
     for i in range(1, n + 1):
         e.add("(6)(a)", f"[p,{i}]", _eq(_pair("p", i, i + 1), _s(i) + _s(i)))
@@ -485,13 +487,7 @@ def build_prop_LH(n: int) -> Presentation:
             for al in "pxy":
                 e.add("(6)(e)", f"[{al},{i},{j}]",
                       _eq(_SHIFT + _pair(al, i, j) + _iv(_SHIFT), _pair(al, i - 1, j - 1)))
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            e.add("(6)(f)", f"[{i},{j}]", _comm(_RHO, _pair("p", i, j)))
-            for al in "xy":
-                e.add("(6)(g)", f"[{al},{i},{j}]",
-                      _eq(_RHO + _pair(al, i, j) + _iv(_RHO),
-                          _iv(_pair(al, i, j)) + _pair("p", i, j)))
+    _emit_rho_pairs(e, n, "(6)(f)", "(6)(g)")
     return e.build("prop-lh", n)
 
 
@@ -503,17 +499,14 @@ def build_SH(n: int, k: int) -> Presentation:
         raise ValueError("k must be >= 3")
     e = _Emitter(_lh_generators(n))
     _emit_lh_12(e, n)
-    _emit_rho_square(e, n)
+    _emit_rho_square(e, n, "(3)")
     zeta = _zeta_tokens(n)
     e.add("(4)", "", zeta * k)
-    w5: list[str] = []
-    for i in range(n + 1, 0, -1):
-        w5 += _t(i)
     blk: list[str] = []
     for j in range(1, n + 1):
         for b in range(n, j - 1, -1):
             blk += _s(b)
-    e.add("(5)", "", w5 + blk + blk)
+    e.add("(5)", "", _t_all(n)[::-1] + blk + blk)
     e.add("(6)(a)", "[s1]", _comm(zeta, _s(1)))
     e.add("(6)(a)", "[r1]", _comm(zeta, _r(1)))
     rprod: list[str] = []
@@ -551,24 +544,13 @@ def build_presentation(name: str, n: int, k: int | None = None) -> Presentation:
 
 def braid_assignment(pres: Presentation) -> dict[str, B.BraidWord]:
     """The dictionary assignment sending each presentation generator to its
-    braid word on 2n + 2 strands."""
+    braid word on 2n + 2 strands.  Generator names are braid tokens (see
+    ``braids.parse_braid_text``), except ``s``, the block rotation."""
     if pres.name == "vw":
         raise ValueError("vw verifies at the permutation level; use perm_assignment")
     n = pres.n
-    out: dict[str, B.BraidWord] = {}
-    for gname in pres.generators:
-        if gname == "rho":
-            out[gname] = B.build_generator("rho", n)
-        elif gname == "s":
-            out[gname] = B.build_generator("shift", n)
-        elif gname[0] in "srt" and gname[1:].isdigit():
-            out[gname] = B.build_generator(gname[0], n, int(gname[1:]))
-        elif gname[0] in "pxy" and "." in gname:
-            i, j = gname[1:].split(".")
-            out[gname] = B.build_generator(gname[0], n, int(i), int(j))
-        else:
-            raise ValueError(f"no dictionary entry for generator {gname!r}")
-    return out
+    return {g: B.build_generator("shift", n) if g == "s" else B.parse_braid_text(g, n=n)
+            for g in pres.generators}
 
 
 def perm_assignment(pres: Presentation) -> dict[str, P.Perm]:
@@ -576,15 +558,7 @@ def perm_assignment(pres: Presentation) -> dict[str, P.Perm]:
     corresponding braid words."""
     if pres.name != "vw":
         raise ValueError("perm_assignment is for the vw presentation")
-    n = pres.n
-    m = 2 * n + 2
-    out: dict[str, P.Perm] = {}
-    for gname in pres.generators:
-        if gname == "rho":
-            out[gname] = P.psi_of_braid_word(B.build_generator("rho", n).word, m)
-        else:
-            out[gname] = P.psi_of_braid_word(B.build_generator("s", n, int(gname[1:])).word, m)
-    return out
+    return {g: B.perm_of_braid(B.parse_braid_text(g, n=pres.n)) for g in pres.generators}
 
 
 def image_letters(relator: Word, assignment: dict[str, B.BraidWord]) -> list[int]:
@@ -711,94 +685,74 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
     index slides, hoists and the loop and full-twist words that no builder
     emits."""
     N = n + 1
-    m = 2 * n + 2
-
-    def gw(name: str, *idx: int) -> tuple[int, ...]:
-        return B.build_generator(name, n, *idx).letters
-
-    def inv(ls) -> tuple[int, ...]:
-        return tuple(-c for c in reversed(ls))
-
-    def eq(u, v) -> list[int]:
-        return list(u) + list(inv(v))
-
-    def comm(u, v) -> list[int]:
-        return list(u) + list(v) + list(inv(u)) + list(inv(v))
-
-    def cat(*parts) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for p in parts:
-            out += tuple(p)
-        return out
-
-    out: list[tuple[str, str, list[int]]] = []
-
-    def add(tag: str, idx: str, letters: list[int]) -> None:
-        out.append((f"{tag}{idx}", tag, letters))
-
-    # families the builders emit, expanded through their assignments.  (4)
-    # and (5) are sphere-level words, (6)(b) and (6)(c) restate the
-    # dictionary's own definitions, and (C-tt) repeats (1)(c).
     prop, ph1 = build_prop_LH(n), build_PH1(n)
     prop_assign = braid_assignment(prop)
-    for pres, assign, skip in ((prop, prop_assign, ("(4)", "(5)", "(6)(b)", "(6)(c)")),
-                               (ph1, braid_assignment(ph1), ("(C-tt)",))):
-        for rid, tag, rel in zip(pres.ids, pres.tags, pres.relators):
-            if tag not in skip:
-                out.append((pres.name + rid, pres.name + tag, image_letters(rel, assign)))
+    e = _Emitter(prop.generators)
 
     # block-twist conjugation ladders
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
             for ex in (1, -1):
-                down = cat(*((gw("s", a) if ex == 1 else inv(gw("s", a)))
-                             for a in range(j - 1, i - 1, -1)))
-                up = cat(*((gw("s", a) if ex == 1 else inv(gw("s", a)))
-                           for a in range(i, j)))
-                add("t-ladder", f"[desc-bottom,{i},{j},e={ex}]",
-                    eq(cat(down, gw("t", i)), cat(gw("t", j), down)))
-                add("t-ladder", f"[asc-top,{i},{j},e={ex}]",
-                    eq(cat(up, gw("t", j)), cat(gw("t", i), up)))
+                down: list[str] = []
+                for a in range(j - 1, i - 1, -1):
+                    down += _pw(_s(a), ex)
+                up = down[::-1]  # one token per block swap
+                e.add("t-ladder", f"[desc-bottom,{i},{j},e={ex}]",
+                      _eq(down + _t(i), _t(j) + down))
+                e.add("t-ladder", f"[asc-top,{i},{j},e={ex}]",
+                      _eq(up + _t(j), _t(i) + up))
                 for k in range(i + 1, j + 1):
-                    add("t-ladder", f"[desc-mid,{i},{j},k={k},e={ex}]",
-                        eq(cat(down, gw("t", k)), cat(gw("t", k - 1), down)))
-                    add("t-ladder", f"[asc-mid,{i},{j},k={k},e={ex}]",
-                        eq(cat(up, gw("t", k - 1)), cat(gw("t", k), up)))
+                    e.add("t-ladder", f"[desc-mid,{i},{j},k={k},e={ex}]",
+                          _eq(down + _t(k), _t(k - 1) + down))
+                    e.add("t-ladder", f"[asc-mid,{i},{j},k={k},e={ex}]",
+                          _eq(up + _t(k - 1), _t(k) + up))
 
     # index-slides and the hoist form of distant pairs
     for al in "pxy":
         for i in range(1, N + 1):
             for j in range(i + 2, N + 1):
-                add("slide-left", f"[{al},{i},{j}]",
-                    eq(cat(inv(gw("s", j - 1)), gw(al, i, j), gw("s", j - 1)), gw(al, i, j - 1)))
+                e.add("slide-left", f"[{al},{i},{j}]",
+                      _eq(_iv(_s(j - 1)) + _pair(al, i, j) + _s(j - 1), _pair(al, i, j - 1)))
             for j in range(i + 1, N + 1):
                 if i >= 2:
-                    add("slide-up", f"[{al},{i},{j}]",
-                        eq(cat(inv(gw("s", i - 1)), gw(al, i, j), gw("s", i - 1)), gw(al, i - 1, j)))
+                    e.add("slide-up", f"[{al},{i},{j}]",
+                          _eq(_iv(_s(i - 1)) + _pair(al, i, j) + _s(i - 1), _pair(al, i - 1, j)))
         for i in range(2, n + 1):
             for ex in (1, -1):
-                sL = gw("s", i - 1) if ex == 1 else inv(gw("s", i - 1))
-                sR = gw("s", i) if ex == 1 else inv(gw("s", i))
-                add("swap-conj", f"[{al},i={i},e={ex}]",
-                    eq(cat(sL, gw(al, i, i + 1), inv(sL)),
-                       cat(inv(sR), gw(al, i - 1, i), sR)))
+                sL, sR = _pw(_s(i - 1), ex), _pw(_s(i), ex)
+                e.add("swap-conj", f"[{al},i={i},e={ex}]",
+                      _eq(sL + _pair(al, i, i + 1) + _iv(sL), _iv(sR) + _pair(al, i - 1, i) + sR))
         for i in range(1, N + 1):
             for j in range(i + 2, N + 1):
-                pre = cat(*(inv(gw("s", a)) for a in range(i, j - 1)))
-                add("hoist", f"[{al},{i},{j}]",
-                    eq(gw(al, i, j), cat(pre, gw(al, j - 1, j), inv(pre))))
+                pre: list[str] = []
+                for a in range(i, j - 1):
+                    pre += _iv(_s(a))
+                e.add("hoist", f"[{al},{i},{j}]",
+                      _eq(_pair(al, i, j), pre + _pair(al, j - 1, j) + _iv(pre)))
 
     # rho commutes with the block twists
     for i in range(1, N + 1):
-        add("rho-t-comm", f"[{i}]", comm(gw("rho"), gw("t", i)))
+        e.add("rho-t-comm", f"[{i}]", _comm(_RHO, _t(i)))
 
-    # the loop word and the full twist, spelled as in (Z), (F) and (4)
-    def image(toks: list[str]) -> list[int]:
-        return image_letters(parse_word(prop.alphabet, " ".join(toks)), prop_assign)
+    # families the builders emit, expanded through their assignments.  (4)
+    # and (5) are sphere-level words, (6)(b) and (6)(c) restate the
+    # dictionary's own definitions, and (C-tt) repeats (1)(c).
+    out: list[tuple[str, str, list[int]]] = []
+    for pres, assign, skip in ((prop, prop_assign, ("(4)", "(5)", "(6)(b)", "(6)(c)")),
+                               (ph1, braid_assignment(ph1), ("(C-tt)",)),
+                               (e.build("", n), prop_assign, ())):
+        for rid, tag, rel in zip(pres.ids, pres.tags, pres.relators):
+            if tag not in skip:
+                out.append((pres.name + rid, pres.name + tag, image_letters(rel, assign)))
 
-    add("z-word", "", eq(image(_z_relator_tokens(n)), gw("z")))
-    add("fulltwist-word", "", eq(image(_f_relator_tokens(n)), B.full_twist(m).letters))
-    add("zeta-image", "", eq(image(_zeta_tokens(n)), gw("z")))
+    # the loop word and the full twist, spelled as in (Z), (F) and (4), against
+    # their letter words
+    z = B.build_generator("z", n)
+    for tag, toks, word in (("z-word", _z_relator_tokens(n), z),
+                            ("fulltwist-word", _f_relator_tokens(n), B.full_twist(2 * n + 2)),
+                            ("zeta-image", _zeta_tokens(n), z)):
+        rel = parse_word(prop.alphabet, " ".join(toks))
+        out.append((tag, tag, image_letters(rel, prop_assign) + list(word.inverse().letters)))
     return out
 
 
@@ -811,8 +765,6 @@ def verify_lemma_identities(n: int, jobs: int = 1,
     _check_n(n)
     if n > 3:
         raise ValueError("identity suite is sized for n <= 3")
-    m = 2 * n + 2
-    items = [(rid, tag, list(letters)) for rid, tag, letters in _lemma_schedule(n)]
-    rows = _verify_rows(m, items, budget, jobs)
+    rows = _verify_rows(2 * n + 2, _lemma_schedule(n), budget, jobs)
     return VerificationReport("lemmas", {"n": n, "artin_convention": M.ARTIN_CONVENTION},
                               tuple(rows))

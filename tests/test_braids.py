@@ -1,11 +1,13 @@
 """Braid words, Garside left normal form, and the generator dictionary."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilden import braids
 from hilden.braids import (
     BraidWord,
     braid_word,
@@ -25,6 +27,7 @@ from hilden.braids import (
     sigma_alphabet,
 )
 from hilden.perms import identity_perm, psi_of_braid_word
+from hilden.presentations import braid_assignment, build_PH, image_letters
 
 
 # --- construction --------------------------------------------------------------
@@ -282,6 +285,15 @@ def test_parse_named_tokens():
 def test_parse_errors():
     with pytest.raises(ValueError, match="need n"):
         parse_braid_text("s1", strands=4)
+    with pytest.raises(ValueError, match="need n"):  # checked before the name
+        parse_braid_text("nope", strands=4)
+    for tok, msg in (("p1.1", "pair indices must differ"),
+                     ("s0", "index 0 out of range 1..1 for 's'"),
+                     ("t3", "index 3 out of range 1..2 for 't'")):
+        with pytest.raises(ValueError, match=re.escape(f"token 0 ({tok!r}): {msg}")):
+            parse_braid_text(tok, n=1)
+    with pytest.raises(ValueError, match="unrecognized"):  # case is all or nothing
+        parse_braid_text("Rho", n=1)
     with pytest.raises(ValueError, match="out of range"):
         parse_braid_text("g9", strands=4)
     with pytest.raises(ValueError, match="unrecognized"):
@@ -368,3 +380,25 @@ def test_normal_form_is_left_weighted(case):
     # each factor's length is its inversion count; delta has m(m-1)/2 letters
     inversions = sum(1 for f in factors for x in range(m) for y in range(x + 1, m) if f[x] > f[y])
     assert nf.power * m * (m - 1) // 2 + inversions == exponent_sum(b)
+
+
+def test_normal_form_drops_an_emptied_factor_at_once(monkeypatch):
+    # A backward slide can empty the appended factor; kept, it would be slid
+    # across by every later append (about 15 slides per letter on these words).
+    calls = 0
+    slide = braids._slide
+
+    def counting_slide(a, b):
+        nonlocal calls
+        calls += 1
+        return slide(a, b)
+
+    monkeypatch.setattr(braids, "_slide", counting_slide)
+    pres = build_PH(2)
+    assign = braid_assignment(pres)
+    letters = 0
+    for rel in pres.relators:
+        b = braid_word(6, image_letters(rel, assign))
+        letters += len(b)
+        normal_form(b)
+    assert calls <= 4 * letters
