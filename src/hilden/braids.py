@@ -414,6 +414,8 @@ def parse_braid_text(text: str, *, strands: int | None = None, n: int | None = N
     """
     if (strands is None) == (n is None):
         raise ValueError("give exactly one of strands or n")
+    if n is not None and n < 1:
+        raise ValueError("n must be >= 1")
     m = strands if strands is not None else 2 * n + 2
     letters: list[int] = []
     for pos, tok in enumerate(text.split()):

@@ -1,9 +1,9 @@
 """Integer Smith normal form and first homology of the presentations.
 
 ``smith_normal_form`` returns D = U * M * V with U, V unimodular (built
-from swaps, negations, additions of a multiple of one line to another, and
-2x2 transforms of determinant 1) and D diagonal with nonnegative entries in
-a divisibility chain d_1 | d_2 | ... .
+from swaps, negations and additions of a multiple of one line to another)
+and D diagonal with nonnegative entries in a divisibility chain
+d_1 | d_2 | ... .
 
 First homology of a presentation is the cokernel of the relator exponent
 matrix.  Coordinates of a named class in the diagonalized quotient come from
@@ -86,63 +86,46 @@ def smith_normal_form(mat: list[list[int]]) -> SNFResult:
                         return best
         return best
 
-    def clear_at(t) -> bool:
-        """Pivot the block at (t, t) and clear its row and column; False when
-        the block is all zero."""
-        while True:
-            best = find_pivot(t)
-            if best is None:
-                return False
-            _, pi, pj = best
-            row_swap(t, pi)
-            col_swap(t, pj)
-            if A[t][t] < 0:
-                row_negate(t)
-            restart = False
-            for i in range(t + 1, r):
+    def clear_lines(t) -> bool:
+        """Clear column t and row t by the pivot A[t][t]; False when a
+        remainder smaller than the pivot is left."""
+        p = A[t][t]
+        for i in range(t + 1, r):
+            if A[i][t]:
+                row_add(i, t, -(A[i][t] // p))
                 if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t]:  # remainder smaller than the pivot
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, c):
+                    return False
+        for j in range(t + 1, c):
+            if A[t][j]:
+                col_add(j, t, -(A[t][j] // p))
                 if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j]:
-                        restart = True
-                        break
-            if not restart:
-                return True
+                    return False
+        return True
 
-    rank = 0
-    while rank < min(r, c) and clear_at(rank):
-        rank += 1
-
-    # enforce the divisibility chain d_t | d_{t+1} with explicit unimodular
-    # 2x2 transforms diag(a, b) -> diag(gcd, lcm); bubble back after each fix
+    # one pivot loop: t advances only once the pivot divides its whole block,
+    # so the diagonal comes out as the chain d_1 | d_2 | ...
     t = 0
-    while t + 1 < rank:
-        a, b = A[t][t], A[t + 1][t + 1]
-        if b % a == 0:
-            t += 1
-            continue
-        g = gcd(a, b)
-        # extended gcd: s*a + u*b = g
-        s, u = _bezout(a, b)
-        ag, bg = a // g, b // g
-        Ut, Ut1 = U[t], U[t + 1]
-        U[t] = [s * p + u * q for p, q in zip(Ut, Ut1)]
-        U[t + 1] = [-bg * p + ag * q for p, q in zip(Ut, Ut1)]
-        for row in V:
-            pt, pt1 = row[t], row[t + 1]
-            row[t] = pt + pt1
-            row[t + 1] = -u * bg * pt + s * ag * pt1
-        A[t][t], A[t + 1][t + 1] = g, a * bg
-        t = max(0, t - 1)
+    while t < min(r, c):
+        best = find_pivot(t)
+        if best is None:
+            break
+        _, pi, pj = best
+        row_swap(t, pi)
+        col_swap(t, pj)
+        if A[t][t] < 0:
+            row_negate(t)
+        if not clear_lines(t):
+            continue  # pivot again on the smaller remainder
+        p = A[t][t]
+        if p > 1:
+            bad = next((i for i in range(t + 1, r)
+                        if any(x % p for x in A[i][t + 1:])), None)
+            if bad is not None:
+                # row t picks up an entry p does not divide; clearing it
+                # leaves a remainder smaller than p, so the pivot shrinks
+                row_add(t, bad, 1)
+                continue
+        t += 1
 
     diag = [A[i][i] for i in range(min(r, c))]
     for i in range(len(diag) - 1):
@@ -154,21 +137,6 @@ def smith_normal_form(mat: list[list[int]]) -> SNFResult:
         tuple(tuple(row) for row in U),
         tuple(tuple(row) for row in V),
     )
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """(s, u) with s*a + u*b = gcd(a, b)."""
-    old_r, rr = a, b
-    old_s, s = 1, 0
-    old_t, tt = 0, 1
-    while rr:
-        q = old_r // rr
-        old_r, rr = rr, old_r - q * rr
-        old_s, s = s, old_s - q * s
-        old_t, tt = tt, old_t - q * tt
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 def matrix_mul(a, b):
@@ -216,8 +184,7 @@ class H1Result:
 
     def class_coords(self, v: list[int]) -> list[int]:
         """Coordinates of an exponent vector in the diagonalized quotient."""
-        return [sum(v[i] * self.snf.V[i][j] for i in range(self.ngens))
-                for j in range(self.ngens)]
+        return matrix_mul([v], self.snf.V)[0]
 
     def class_order(self, v: list[int]) -> int:
         """Order of the class in H1 (0 means infinite)."""
@@ -238,11 +205,7 @@ class H1Result:
 
 def h1_of_presentation(pres: Presentation) -> H1Result:
     g = len(pres.generators)
-    rows = relator_matrix(pres)
-    if not rows:
-        snf = smith_normal_form([[0] * g])
-    else:
-        snf = smith_normal_form(rows)
+    snf = smith_normal_form(relator_matrix(pres) or [[0] * g])
     diag = snf.diagonal()
     nonzero = [d for d in diag if d]
     inv = AbelianInvariants(g - len(nonzero), tuple(d for d in nonzero if d > 1))
@@ -307,7 +270,10 @@ def h1_generators_report(pres: Presentation) -> dict:
             mod2_rows.append([coords[j] % diag[j] for j in torsion_pos])
     torsion_generated: bool | None = None
     if all(diag[j] == 2 for j in torsion_pos):
-        torsion_generated = _gf2_rank(mod2_rows) == len(torsion_pos)
+        # U and V stay invertible mod 2, so the GF(2) rank of the rows is the
+        # number of odd Smith invariants
+        odd = sum(d % 2 for d in smith_normal_form(mod2_rows).diagonal())
+        torsion_generated = odd == len(torsion_pos)
     return {
         "name": pres.name, "n": pres.n, "k": pres.k,
         "free_rank": res.invariants.free_rank,
@@ -316,22 +282,3 @@ def h1_generators_report(pres: Presentation) -> dict:
         "torsion_generated": torsion_generated,
     }
 
-
-def _gf2_rank(rows: list[list[int]]) -> int:
-    mat = [int("".join(str(b % 2) for b in row), 2) if row else 0 for row in rows]
-    rank = 0
-    for _ in range(len(mat)):
-        piv = max(mat, default=0)
-        if not piv:
-            break
-        top = 1 << (piv.bit_length() - 1)
-        keep = []
-        for v in mat:
-            if v & top:
-                if v != piv:
-                    keep.append(v ^ piv)
-            else:
-                keep.append(v)
-        mat = keep
-        rank += 1
-    return rank

@@ -626,10 +626,16 @@ def _worker_verify(args) -> tuple[str, str, str, str | None, int]:
     return rid, tag, status, closes, (time.perf_counter_ns() - t0) // 1000
 
 
+# Below about this many relators the process pool's start-up costs more than
+# it saves: `verify` of lh n=4 (93 relators) took 19 ms serially and 30 ms at
+# jobs=2, sh n=5 k=5 (142 relators) 61 ms and 47 ms (2-vCPU VM, min of 3).
+_POOL_MIN_ROWS = 100
+
+
 def _verify_rows(m: int, items: list[tuple[str, str, list[int]]],
                  budget: int, jobs: int) -> list[VerifyRow]:
     args = [(m, rid, tag, letters, budget) for rid, tag, letters in items]
-    if jobs <= 1 or len(items) < 4:
+    if jobs <= 1 or len(items) < _POOL_MIN_ROWS:
         return [VerifyRow(*_worker_verify(a)) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         results = ex.map(_worker_verify, args,

@@ -302,6 +302,9 @@ def test_parse_errors():
         parse_braid_text("g1")  # needs exactly one of strands/n
     with pytest.raises(ValueError):
         parse_braid_text("g1", strands=3, n=1)
+    for tok in ("g1", "rho"):
+        with pytest.raises(ValueError, match=re.escape("n must be >= 1")):
+            parse_braid_text(tok, n=0)
 
 
 def test_format_parse_round_trip():

@@ -178,6 +178,13 @@ def test_braid_parse_error_is_a_usage_error():
     assert code == 2 and "bogus" in err
 
 
+def test_braid_rejects_n_zero():
+    for word in ("g1", "rho"):
+        code, out, err = run(["braid", "nf", "--n", "0", word])
+        assert (code, out) == (2, "")
+        assert err == "hilden braid: error: n must be >= 1\n"
+
+
 # --- subgroups ----------------------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from hilden.homology import (
     relator_matrix,
     smith_normal_form,
 )
-from hilden.presentations import build_LH, build_SH, build_VW
+from hilden.presentations import build_LH, build_SH, build_VW, presentation_from_json
 from hilden.words import parse_word
 
 
@@ -46,7 +46,7 @@ def test_snf_single_entries():
     assert list(smith_normal_form([[4], [6]]).diagonal()) == [2]
 
 
-def test_snf_divisibility_needs_the_two_by_two_fixup():
+def test_snf_coprime_diagonal_becomes_a_chain():
     # diag(2, 3) must become diag(1, 6)
     res = smith_normal_form([[2, 0], [0, 3]])
     assert list(res.diagonal()) == [1, 6]
@@ -57,12 +57,36 @@ def test_snf_rejects_ragged_input():
         smith_normal_form([[1, 2], [3]])
 
 
+def _scrambled_diagonal(rng, diag):
+    """diag padded by up to two zero rows and columns, then mixed by random
+    unimodular row and column additions."""
+    rows, cols = len(diag) + rng.randint(0, 2), len(diag) + rng.randint(0, 2)
+    M = [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
+         for i in range(rows)]
+    for _ in range(10):
+        i, j = rng.sample(range(rows), 2)
+        q = rng.choice([-2, -1, 1, 2])
+        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+        i, j = rng.sample(range(cols), 2)
+        q = rng.choice([-2, -1, 1, 2])
+        for row in M:
+            row[i] += q * row[j]
+    return M
+
+
 def test_snf_random_cross_check():
     rng = random.Random(7)
+    inputs = []
     for _ in range(120):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        inputs.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    # diagonals that are not a divisibility chain: a pivot that does not
+    # divide the rest of its block
+    for diag in ([2, 3, 5], [4, 6], [6, 10, 15], [0, 2, 3]):
+        inputs += [_scrambled_diagonal(rng, diag) for _ in range(10)]
+    for M in inputs:
+        rows, cols = len(M), len(M[0])
         res = smith_normal_form(M)
         # decomposition, unimodularity, chain
         assert as_lists(matrix_mul(matrix_mul(res.U, M), res.V)) == as_lists(res.D)
@@ -170,6 +194,17 @@ def test_sh_class_orders_even_k_depend_on_n_parity():
     rep = h1_generators_report(build_SH(2, 4))
     orders = {c["class"]: c["order"] for c in rep["classes"]}
     assert orders == {"s1": 0, "r1": 2, "X": 1, "Y": 2}
+
+
+def test_torsion_not_generated_by_the_named_classes():
+    # an extra generator u of order 2 adds torsion that no named class reaches
+    d = build_LH(1).to_json_dict()
+    d["generators"].append("u")
+    for key, value in (("relators", "u u"), ("tags", "(u)"), ("ids", "(u)")):
+        d[key].append(value)
+    rep = h1_generators_report(presentation_from_json(d))
+    assert (rep["free_rank"], rep["torsion"]) == (1, [2, 2, 2])
+    assert rep["torsion_generated"] is False
 
 
 def test_class_coords_kill_relators():

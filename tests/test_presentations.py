@@ -1,9 +1,11 @@
 """Presentation builders and the relator verification pipeline."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import hilden.presentations as PRES
 from hilden.braids import braid_is_trivial, braid_word
 from hilden.perms import identity_perm, psi_of_braid_word
 from hilden.presentations import (
@@ -188,13 +190,31 @@ def test_vw_verifies_at_the_permutation_level_with_order_row():
         assert len(order_rows) == 1 and order_rows[0].status == "ok"
 
 
-def test_parallel_verification_matches_serial():
-    pres = build_LH(2)
+def test_parallel_verification_matches_serial(monkeypatch):
+    pres = build_LH(5)
+    assert len(pres.relators) >= PRES._POOL_MIN_ROWS
+    started = []
+
+    def pool(*args, **kwargs):
+        started.append(kwargs)
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(PRES, "ProcessPoolExecutor", pool)
     serial = verify(pres, jobs=1)
+    assert not started
     parallel = verify(pres, jobs=2)
+    assert started == [{"max_workers": 2}]
     assert [(r.id, r.status, r.closes_at) for r in serial.rows] == [
         (r.id, r.status, r.closes_at) for r in parallel.rows
     ]
+
+
+def test_small_verification_starts_no_pool(monkeypatch):
+    def pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(PRES, "ProcessPoolExecutor", pool)
+    assert verify(build_LH(1), jobs=2).ok
 
 
 def test_tiny_budget_leaves_sphere_rows_unresolved():
