@@ -178,6 +178,8 @@ def relator_matrix(pres: Presentation) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class H1Result:
+    """H1 of a presentation; ``snf`` is over its distinct nonzero relator rows."""
+
     invariants: AbelianInvariants
     snf: SNFResult
     ngens: int
@@ -204,8 +206,15 @@ class H1Result:
 
 
 def h1_of_presentation(pres: Presentation) -> H1Result:
+    """First homology of ``pres``.
+
+    Zero rows and repeated rows of the relator matrix leave its cokernel
+    unchanged, so ``snf`` is the Smith normal form of the distinct nonzero
+    rows in first-occurrence order (``U`` is square in their count).
+    """
     g = len(pres.generators)
-    snf = smith_normal_form(relator_matrix(pres) or [[0] * g])
+    rows = list(dict.fromkeys(tuple(v) for v in relator_matrix(pres) if any(v)))
+    snf = smith_normal_form(rows or [[0] * g])
     diag = snf.diagonal()
     nonzero = [d for d in diag if d]
     inv = AbelianInvariants(g - len(nonzero), tuple(d for d in nonzero if d > 1))

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from hilden import homology
 from hilden.homology import (
     AbelianInvariants,
     exponent_vector,
@@ -16,7 +17,7 @@ from hilden.homology import (
     relator_matrix,
     smith_normal_form,
 )
-from hilden.presentations import build_LH, build_SH, build_VW, presentation_from_json
+from hilden.presentations import build_LH, build_PH, build_SH, build_VW, presentation_from_json
 from hilden.words import parse_word
 
 
@@ -165,6 +166,39 @@ def test_free_group_h1():
     h = h1_of_presentation(empty)
     assert h.invariants.free_rank == len(pres.generators)
     assert h.invariants.torsion == ()
+
+
+def test_h1_feeds_smith_normal_form_the_distinct_nonzero_rows(monkeypatch):
+    seen = []
+
+    def recording(mat):
+        seen.append([tuple(row) for row in mat])
+        return smith_normal_form(mat)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    pres = build_LH(20)
+    h = h1_of_presentation(pres)
+    assert (h.invariants.free_rank, h.invariants.torsion) == (1, (2, 2))
+    (rows,) = seen
+    assert len(relator_matrix(pres)) == 1893
+    assert len(rows) == len(set(rows)) == 81
+    assert all(any(row) for row in rows)
+
+
+def _full_matrix_invariants(pres):
+    g = len(pres.generators)
+    nonzero = [d for d in smith_normal_form(relator_matrix(pres)).diagonal() if d]
+    return g - len(nonzero), tuple(d for d in nonzero if d > 1)
+
+
+def test_h1_matches_smith_normal_form_of_the_full_relator_matrix():
+    cases = [build_LH(n) for n in range(1, 13)]
+    cases += [build_SH(n, k) for n in range(1, 7) for k in range(3, 7)]
+    cases += [build(n) for build in (build_VW, build_PH) for n in (1, 2, 3)]
+    for pres in cases:
+        h = h1_of_presentation(pres)
+        got = (h.invariants.free_rank, h.invariants.torsion)
+        assert got == _full_matrix_invariants(pres), (pres.name, pres.n, pres.k)
 
 
 # --- named class orders -----------------------------------------------------------------

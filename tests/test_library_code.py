@@ -18,9 +18,17 @@ def test_no_assert_in_library_code():
     assert not found, found
 
 
-def test_every_private_function_is_used():
-    # a private top-level function that nothing else in the package names is
-    # dead code left behind by a refactor
+def _bound_names(stmt):
+    if isinstance(stmt, ast.FunctionDef):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _unused_private_names(kinds):
+    """Private names bound at the top level by statements of ``kinds`` that no
+    other top-level statement in the package names (as an AST name or
+    attribute)."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.rglob("*.py"))}
 
@@ -29,9 +37,22 @@ def test_every_private_function_is_used():
                 if isinstance(n, (ast.Name, ast.Attribute))}
 
     uses = [(stmt, names(stmt)) for tree in trees.values() for stmt in tree.body]
-    unused = [f"{fname}:{fn.lineno} {fn.name}"
-              for fname, tree in trees.items() for fn in tree.body
-              if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
-              and not fn.name.startswith("__")
-              and not any(fn.name in used for stmt, used in uses if stmt is not fn)]
+    return [f"{fname}:{stmt.lineno} {name}"
+            for fname, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, kinds)
+            for name in _bound_names(stmt)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in used for other, used in uses if other is not stmt)]
+
+
+def test_every_private_function_is_used():
+    # a private top-level function that nothing else in the package names is
+    # dead code left behind by a refactor
+    unused = _unused_private_names(ast.FunctionDef)
+    assert not unused, unused
+
+
+def test_every_private_constant_is_used():
+    # so is a private module constant, such as a table whose reader is gone
+    unused = _unused_private_names((ast.Assign, ast.AnnAssign))
     assert not unused, unused

@@ -1,5 +1,7 @@
 """Permutations, the strand homomorphism, and the named subgroups."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,10 +143,20 @@ EXPECTED_ORDERS = {
     1: {"W": 8, "V": 8, "VW": 4, "S^oe": 2, "S^oxS^e": 4},
     2: {"W": 72, "V": 48, "VW": 12, "S^oe": 6, "S^oxS^e": 36},
     3: {"W": 1152, "V": 384, "VW": 48, "S^oe": 24, "S^oxS^e": 576},
+    4: {"W": 28800, "V": 3840, "VW": 240, "S^oe": 120, "S^oxS^e": 14400},
+}
+
+# each named subgroup as the public predicates define it
+SUBGROUP_FILTERS = {
+    "W": is_liftable,
+    "V": preserves_blocks,
+    "VW": lambda p: preserves_blocks(p) and is_liftable(p),
+    "S^oe": lambda p: preserves_blocks(p) and is_parity_preserving(p),
+    "S^oxS^e": is_parity_preserving,
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_subgroup_orders(n):
     import math
 
@@ -159,6 +171,16 @@ def test_subgroup_orders(n):
     assert closed == EXPECTED_ORDERS[n]
     for label in SUBGROUP_LABELS:
         assert enumerate_subgroup(label, n).order == EXPECTED_ORDERS[n][label]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subgroups_match_the_predicate_filter(n):
+    # the structural construction against a walk over all of S_{2n+2}
+    every = [Perm(p) for p in permutations(range(2 * n + 2))]
+    assert set(SUBGROUP_FILTERS) == set(SUBGROUP_LABELS)
+    for label, pred in SUBGROUP_FILTERS.items():
+        want = frozenset(p for p in every if pred(p))
+        assert enumerate_subgroup(label, n).elements == want, label
 
 
 def test_enumeration_capacity_guard():
