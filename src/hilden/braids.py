@@ -6,6 +6,11 @@ normal form ``delta^p . A_1 ... A_k`` where each factor ``A_t`` is a
 permutation braid (recorded by its permutation) and each adjacent pair is
 left-weighted: every generator starting ``A_{t+1}`` also finishes ``A_t``.
 Two words are equal in the braid group iff their normal forms coincide.
+``normal_form`` packs each run of same-sign letters that stays a permutation
+braid into one factor, then appends the factors one at a time to a
+left-weighted list, sliding each backward until the first pair that is
+already left-weighted.  ``_slide`` left-weights one pair in a single forward
+scan that steps back once after each swap.
 
 Also here: the generator dictionary expanding the named elements of the
 two-string-per-block setup (m = 2n + 2) into explicit band-generator words:
@@ -131,7 +136,10 @@ def _slide(a, b):
 
     A generator index i starts b when b^-1 has a descent at i, and finishes a
     when a has one.  Any starter of b missing from a's finishers migrates
-    left: a <- a.s_i, b <- s_i.b.
+    left: a <- a.s_i, b <- s_i.b.  A swap at i changes only the tests at
+    i - 1, i and i + 1, so one forward scan that steps back once after each
+    swap ends with no starter left to move.  The left-weighted pair with a
+    given product is unique, so the scan order does not change the result.
     """
     m = len(a)
     a = list(a)
@@ -139,16 +147,16 @@ def _slide(a, b):
     binv = [0] * m
     for x, v in enumerate(b):
         binv[v] = x
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m - 1):
-            if binv[i] > binv[i + 1] and a[i] < a[i + 1]:
-                a[i], a[i + 1] = a[i + 1], a[i]
-                j1, j2 = binv[i], binv[i + 1]
-                b[j1], b[j2] = b[j2], b[j1]
-                binv[i], binv[i + 1] = j2, j1
-                changed = True
+    i = 0
+    while i < m - 1:
+        if binv[i] > binv[i + 1] and a[i] < a[i + 1]:
+            a[i], a[i + 1] = a[i + 1], a[i]
+            j1, j2 = binv[i], binv[i + 1]
+            b[j1], b[j2] = b[j2], b[j1]
+            binv[i], binv[i + 1] = j2, j1
+            i = i - 1 if i else 1
+        else:
+            i += 1
     return tuple(a), tuple(b)
 
 
@@ -210,19 +218,26 @@ def _assemble(m: int, entries) -> GarsideNF:
 
 
 def normal_form(b: BraidWord) -> GarsideNF:
-    """Garside left normal form; equal braids get identical normal forms."""
+    """Garside left normal form; equal braids get identical normal forms.
+
+    Letters are packed into permutation-braid factors before normalizing.
+    A run of letters of one sign grows while each letter makes the run's
+    permutation R one inversion longer: the letter g_{i+1}^(+-1) swaps R[i]
+    and R[i + 1], which lengthens R exactly when R[i] < R[i + 1].  A
+    positive run is the factor R itself.  A negative run x_1^-1 .. x_k^-1 is
+    Q^-1 with Q = x_k .. x_1, so R is the permutation of Q^-1, and the run
+    enters as delta^-1 . (delta . Q^-1), the factor w0 . R.
+    """
     m = b.strands
-    w0 = _w0(m)
-    entries = []
+    runs = []  # (a letter of the run, its permutation), in word order
     for c in b.letters:
         i = abs(c) - 1
-        si = list(range(m))
-        si[i], si[i + 1] = si[i + 1], si[i]
-        si = tuple(si)
-        if c > 0:
-            entries.append((0, si))
-        else:
-            entries.append((-1, _pmul(w0, si)))
+        if not runs or runs[-1][0] * c < 0 or cur[i] > cur[i + 1]:
+            cur = list(range(m))
+            runs.append((c, cur))
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    w0 = _w0(m)
+    entries = [(0, tuple(r)) if c > 0 else (-1, _pmul(w0, r)) for c, r in runs]
     return _assemble(m, entries)
 
 
@@ -248,9 +263,12 @@ def braid_is_trivial(b: BraidWord) -> bool:
 
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Exact word-problem decision via normal forms."""
+    """Exact word-problem decision via normal forms.  The exponent sum is a
+    braid invariant, so braids that differ in it need no normal form."""
     if a.strands != b.strands:
         raise ValueError("strand count mismatch")
+    if exponent_sum(a) != exponent_sum(b):
+        return False
     return normal_form(a) == normal_form(b)
 
 

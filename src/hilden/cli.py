@@ -143,8 +143,8 @@ def _render_text(report: dict) -> str:
     for row in rows:
         s = row.get("status", "ok")
         counts[s] = counts.get(s, 0) + 1
-    lines.append(f"summary: {len(rows)} rows, "
-                 + ", ".join(f"{v} {k}" for k, v in sorted(counts.items())))
+    lines.append(f"summary: {len(rows)} rows"
+                 + "".join(f", {v} {k}" for k, v in sorted(counts.items())))
     return "\n".join(lines) + "\n"
 
 
@@ -212,11 +212,14 @@ def _read_words(args) -> list[str]:
 def _cmd_braid(args) -> int:
     if (args.strands is None) == (args.n is None):
         raise ValueError("give exactly one of --strands or --n")
+    if args.n is not None and args.n < 1:
+        raise ValueError("n must be >= 1")
+    strands = args.strands if args.strands is not None else 2 * args.n + 2
+    if strands < 2:
+        raise ValueError("need at least 2 strands")
     words = _read_words(args)
     parsed = [B.parse_braid_text(w, strands=args.strands, n=args.n) for w in words]
-    params = {"mode": args.mode,
-              "strands": args.strands if args.strands else 2 * args.n + 2,
-              "words": list(words)}
+    params = {"mode": args.mode, "strands": strands, "words": list(words)}
     if args.n is not None:
         params["n"] = args.n
     rows = []

@@ -385,9 +385,8 @@ def test_normal_form_is_left_weighted(case):
     assert nf.power * m * (m - 1) // 2 + inversions == exponent_sum(b)
 
 
-def test_normal_form_drops_an_emptied_factor_at_once(monkeypatch):
-    # A backward slide can empty the appended factor; kept, it would be slid
-    # across by every later append (about 15 slides per letter on these words).
+def _slides_per_letter(monkeypatch):
+    """`_slide` calls per letter over the relator images of `build_PH(2)`."""
     calls = 0
     slide = braids._slide
 
@@ -404,4 +403,125 @@ def test_normal_form_drops_an_emptied_factor_at_once(monkeypatch):
         b = braid_word(6, image_letters(rel, assign))
         letters += len(b)
         normal_form(b)
-    assert calls <= 4 * letters
+    return calls / letters
+
+
+def test_normal_form_drops_an_emptied_factor_at_once(monkeypatch):
+    # A backward slide can empty the appended factor; kept, it would be slid
+    # across by every later append (about 15 slides per letter on these words).
+    assert _slides_per_letter(monkeypatch) <= 4
+
+
+def test_normal_form_packs_letter_runs(monkeypatch):
+    # One factor per letter costs about 2.6 slides per letter on these words;
+    # packing runs into permutation braids leaves about 0.64.
+    assert _slides_per_letter(monkeypatch) <= 1
+
+
+def _letter_fold(m, ls):
+    """The normal form built by entering every letter as its own factor."""
+    nf = normal_form(braid_word(m, []))
+    for c in ls:
+        nf = nf_multiply(nf, normal_form(braid_word(m, [c])))
+    return nf
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_word_st)
+def test_packed_runs_match_the_letter_by_letter_fold(case):
+    m, ls = case
+    assert normal_form(braid_word(m, ls)) == _letter_fold(m, ls)
+
+
+def test_packed_runs_exact_cases(monkeypatch):
+    for m in (3, 4, 6):
+        nf = normal_form(delta(m))
+        assert (nf.power, nf.factors) == (1, ())
+        nf = normal_form(delta(m).inverse())
+        assert (nf.power, nf.factors) == (-1, ())
+    assert normal_form(parse_braid_text("g1 G2 g1 G2", strands=3)) == _letter_fold(3, [1, -2, 1, -2])
+
+    seen = []
+    normalize = braids._normalize_factors
+
+    def recording_normalize(factors, m):
+        seen.append(len(factors))
+        return normalize(factors, m)
+
+    monkeypatch.setattr(braids, "_normalize_factors", recording_normalize)
+    rng = random.Random(3)
+    for m in (3, 5, 7):
+        for _ in range(10):
+            p = list(range(m))
+            while p in (list(range(m)), list(range(m - 1, -1, -1))):
+                rng.shuffle(p)
+            ls = braids._perm_positive_word(p)  # a reduced positive word of p
+            nf = normal_form(braid_word(m, ls))
+            assert seen.pop() == 1
+            assert (nf.power, [f.images for f in nf.factors]) == (0, [tuple(p)])
+
+
+def test_braids_equal_checks_exponent_sums_first(monkeypatch):
+    def no_normal_form(b):
+        raise AssertionError("normal form computed")
+
+    monkeypatch.setattr(braids, "normal_form", no_normal_form)
+    assert not braids_equal(braid_word(4, [1, 2]), braid_word(4, [1, 2, 3, -3, 3]))
+    assert not braids_equal(braid_word(3, [1]), braid_word(3, [-1]))
+
+
+# --- a second oracle: Artin's action on the free group -------------------------------
+
+
+def _artin_images(m, letters):
+    """Images of x_1..x_m in F_m under the braid, as freely reduced tuples of
+    signed generator indices.  sigma_i sends x_i to x_i x_{i+1} x_i^-1 and
+    x_{i+1} to x_i; the action is faithful (Artin 1925)."""
+
+    def subst(word, im):
+        out = []
+        for e in word:
+            for f in im[e - 1] if e > 0 else [-f for f in reversed(im[-e - 1])]:
+                if out and out[-1] == -f:
+                    out.pop()
+                else:
+                    out.append(f)
+        return tuple(out)
+
+    im = [(j,) for j in range(1, m + 1)]
+    for c in letters:
+        i = abs(c)
+        if c > 0:
+            moved = ((i, i + 1, -i), (i,))
+        else:
+            moved = ((i + 1,), (-(i + 1), i, i + 1))
+        im[i - 1], im[i] = subst(moved[0], im), subst(moved[1], im)
+    return im
+
+
+def test_braids_equal_agrees_with_the_free_group_action():
+    rng = random.Random(1925)
+    outcomes = {True: 0, False: 0}
+    same_sum_unequal = 0
+    for _ in range(300):
+        m = rng.randint(3, 5)
+        word = [rng.choice([1, -1]) * rng.randint(1, m - 1) for _ in range(rng.randint(0, 8))]
+        other = list(word)
+        for _ in range(rng.randint(1, 2)):  # cancelling pairs x x^-1
+            c = rng.choice([1, -1]) * rng.randint(1, m - 1)
+            pos = rng.randint(0, len(other))
+            other[pos:pos] = [c, -c]
+        if rng.random() < 0.5:  # a nontrivial commutator keeps the exponent sum
+            i = rng.randint(1, m - 2)
+            pos = rng.randint(0, len(other))
+            other[pos:pos] = [i, i + 1, -i, -i - 1]
+        for _ in range(2 * len(other)):  # far commutations
+            k = rng.randrange(len(other) - 1)
+            if abs(abs(other[k]) - abs(other[k + 1])) >= 2:
+                other[k], other[k + 1] = other[k + 1], other[k]
+        a, b = braid_word(m, word), braid_word(m, other)
+        equal = braids_equal(a, b)
+        assert equal == (_artin_images(m, a.letters) == _artin_images(m, b.letters))
+        outcomes[equal] += 1
+        same_sum_unequal += not equal and exponent_sum(a) == exponent_sum(b)
+    assert outcomes[True] > 50 and outcomes[False] > 50 and same_sum_unequal > 50

@@ -185,6 +185,21 @@ def test_braid_rejects_n_zero():
         assert err == "hilden braid: error: n must be >= 1\n"
 
 
+def test_braid_rejects_a_bad_strand_count_without_words():
+    for strands in ("0", "1", "-2"):
+        code, out, err = run(["braid", "nf", "--strands", strands])
+        assert (code, out) == (2, "")
+        assert err == "hilden braid: error: need at least 2 strands\n"
+    code, out, err = run(["braid", "nf", "--n", "0"])
+    assert (code, out, err) == (2, "", "hilden braid: error: n must be >= 1\n")
+
+
+def test_text_summary_of_no_rows():
+    code, out, _ = run(["braid", "nf", "--strands", "3"])
+    assert code == 0
+    assert out.splitlines()[-1] == "summary: 0 rows"
+
+
 # --- subgroups ----------------------------------------------------------------------------
 
 
