@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -46,7 +47,10 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and kept: argparse reads sys.stdout/sys.stderr when
+    # it prints, and every parse starts from a fresh namespace
     ap = argparse.ArgumentParser(prog="hilden", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -217,6 +221,8 @@ def _cmd_braid(args) -> int:
     strands = args.strands if args.strands is not None else 2 * args.n + 2
     if strands < 2:
         raise ValueError("need at least 2 strands")
+    if args.mode == "eq" and args.mcg and strands < 3:
+        raise ValueError("sphere action needs at least 3 strands")
     words = _read_words(args)
     parsed = [B.parse_braid_text(w, strands=args.strands, n=args.n) for w in words]
     params = {"mode": args.mode, "strands": strands, "words": list(words)}

@@ -13,11 +13,14 @@ two braid words represent the same mapping class of the marked sphere iff
 their action quotients differ by an inner automorphism.
 
 ``is_inner`` is a complete decision here: a conjugating element must carry
-x_1 to the stored image of x_1, which confines it to one coset of the
-centralizer of x_1, and its x_1-exponent is bounded by the image lengths.
-``None`` therefore means "definitely not inner".  The only indeterminate
-outcome in this module is :class:`BudgetExceededError`, raised when the
-letter budget for an action computation runs out.
+x_1 to the stored image of x_1, which confines it to the coset c x_1^k of
+the centralizer of x_1, and the exponent k is read off the image of x_2
+(conjugated back by c it must be x_1^k x_2 x_1^-k).  The one candidate is
+then checked against every image, so the decision is linear in the image
+size.  ``None`` therefore means "definitely not inner".  The only
+indeterminate outcome in this module is :class:`BudgetExceededError`, raised
+when the letter budget for an action computation runs out; the budget
+bounds ``artin_action``, and everything after it is linear in its output.
 """
 
 from __future__ import annotations
@@ -129,9 +132,12 @@ def artin_action(b: BraidWord, budget: int = DEFAULT_BUDGET) -> FreeAuto:
         raise ValueError("sphere action needs at least 3 strands")
     rank = m - 1
     imgs: list[list[int]] = [[i + 1] for i in range(rank)]
+    size = rank
     letters = b.letters
     for done, c in enumerate(letters, start=1):
         j = abs(c) - 1  # 0-based rank slot of the lower strand
+        # a letter rewrites slots j and j + 1 (only j at the last pair)
+        size -= sum(len(w) for w in imgs[j:j + 2])
         if j < rank - 1:
             if c > 0:
                 old = imgs[j]
@@ -151,7 +157,7 @@ def artin_action(b: BraidWord, budget: int = DEFAULT_BUDGET) -> FreeAuto:
                 imgs[j] = _cat(_cat(list(old), _inv(prod)), _inv(old))
             else:
                 imgs[j] = _inv(prod)
-        size = sum(len(w) for w in imgs)
+        size += sum(len(w) for w in imgs[j:j + 2])
         if size > budget:
             raise BudgetExceededError(done, len(letters), size, budget)
     alph = x_alphabet(rank)
@@ -160,27 +166,30 @@ def artin_action(b: BraidWord, budget: int = DEFAULT_BUDGET) -> FreeAuto:
 
 def is_inner(a: FreeAuto) -> Word | None:
     """Return a conjugator g with a = (w -> g w g^-1), or None if a is not
-    inner.  The search space is exhausted, so None is definitive."""
+    inner.  The only candidate is c x_1^k, with c from the cyclic reduction
+    of a(x_1) and k read from a(x_2); it is checked against every image, so
+    the cost is linear in the image size and None is definitive."""
     alph = x_alphabet(a.rank)
     if a.rank == 1:
         return Word(alph, ()) if a.images[0].letters == (1,) else None
     core, c = cyclically_reduce(a.images[0])
     if core.letters != (1,):
         return None
-    # a conjugator must be c * x_1^k; image lengths bound |k|
-    kmax = max(len(w) for w in a.images) + len(c) + 2
-    base = list(c.letters)
-    for k in range(-kmax, kmax + 1):
-        g = _cat(list(base), [1] * k if k >= 0 else [-1] * (-k))
-        gi = _inv(g)
-        ok = True
-        for i, w in enumerate(a.images):
-            if tuple(_cat(_cat(list(g), [i + 1]), gi)) != w.letters:
-                ok = False
-                break
-        if ok:
-            return Word(alph, tuple(g))
-    return None
+    # a conjugator must be c * x_1^k, and then c^-1 a(x_2) c is the reduced
+    # word x_1^k x_2 x_1^-k: k is its leading run of x_1^{+-1}
+    d = _cat(_cat(_inv(c.letters), a.images[1].letters), c.letters)
+    if not d:
+        return None
+    k = 0
+    if abs(d[0]) == 1:
+        while k < len(d) and d[k] == d[0]:
+            k += 1
+    g = _cat(list(c.letters), [d[0]] * k)
+    gi = _inv(g)
+    for i, w in enumerate(a.images):
+        if tuple(_cat(_cat(list(g), [i + 1]), gi)) != w.letters:
+            return None
+    return Word(alph, tuple(g))
 
 
 def mcg_equal(a: BraidWord, b: BraidWord, budget: int = DEFAULT_BUDGET) -> bool:

@@ -149,12 +149,12 @@ def conjugate(w: Word, h: Word) -> Word:
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     """Return ``(core, c)`` with ``w == c * core * c^-1`` and core cyclically
     reduced (its first letter is not the inverse of its last)."""
-    ls = list(w.letters)
-    pre: list[int] = []
-    while len(ls) >= 2 and ls[0] == -ls[-1]:
-        pre.append(ls[0])
-        ls = ls[1:-1]
-    return Word(w.alphabet, tuple(ls)), Word(w.alphabet, tuple(pre))
+    ls = w.letters
+    i, j = 0, len(ls) - 1
+    while i < j and ls[i] == -ls[j]:
+        i += 1
+        j -= 1
+    return Word(w.alphabet, ls[i:j + 1]), Word(w.alphabet, ls[:i])
 
 
 def substitute(w: Word, images: Mapping[int, Word]) -> Word:

@@ -120,6 +120,13 @@ def test_braid_eq_mcg_route():
     assert code == 1 and d["rows"][0]["status"] == "mismatch"
 
 
+def test_braid_eq_mcg_needs_three_strands_whatever_the_words():
+    for pair in (["g1 g1", "g1 g1"], ["g1 G1", "1 g1"], ["g1", "g1 g1"]):
+        code, out, err = run(["braid", "eq", "--mcg", "--strands", "2", *pair])
+        assert (code, out) == (2, "")
+        assert err == "hilden braid: error: sphere action needs at least 3 strands\n"
+
+
 def test_braid_eq_accepts_options_before_words():
     # the conjugation identity r1 rho s1 = rho s1 r1^-1 closes at braid level
     code, d, _ = run_json(["braid", "eq", "--n", "1", "r1 rho s1", "rho s1 R1"])
@@ -317,6 +324,38 @@ def test_every_command_accepts_the_shared_tuning_flags():
 def test_help_exits_zero():
     code, out, _ = run(["--help"])
     assert code == 0 and out.startswith("usage:")
+
+
+def test_repeated_calls_in_one_process_do_not_share_state():
+    from hilden.cli import _build_parser
+
+    _build_parser.cache_clear()
+    calls = [
+        ["braid", "eq", "--strands", "4", "--mcg", "g1 g2 g3 g3 g2 g1", "1", "--format", "json"],
+        ["braid", "nf", "--strands", "4", "g1 g2", "--format", "json"],
+        ["verify", "--group", "nope", "--n", "1"],
+        ["--help"],
+        ["braid", "eq", "--strands", "4", "g1 g2 g3 g3 g2 g1", "1", "--format", "json"],
+        ["braid", "nf", "g1", "--strands", "3", "--format", "json"],
+    ]
+
+    def strip_micros(result):
+        code, out, err = result
+        if out.startswith("{"):
+            d = json.loads(out)
+            for row in d["rows"]:
+                row.pop("micros")
+            out = d
+        return code, out, err
+
+    first = [strip_micros(run(argv)) for argv in calls]
+    assert [r[0] for r in first] == [0, 0, 2, 0, 1, 0]
+    # words and --mcg of the first call are not carried into later ones
+    assert first[1][1]["params"]["words"] == ["g1 g2"]
+    assert first[4][1]["rows"][0]["status"] == "mismatch"
+    for _ in range(2):
+        for argv, want in zip(reversed(calls), reversed(first)):
+            assert strip_micros(run(argv)) == want
 
 
 def test_bad_status_drives_the_exit_code():

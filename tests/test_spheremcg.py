@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from hilden.braids import braid_word, build_generator, delta, full_twist
+import hilden.spheremcg as M
+from hilden.braids import braid_word, build_generator, delta, full_twist, parse_braid_text
 from hilden.perms import psi_of_braid_word
 from hilden.spheremcg import (
     ARTIN_CONVENTION,
     DEFAULT_BUDGET,
     BudgetExceededError,
+    FreeAuto,
     artin_action,
     class_of_puncture,
     compose_autos,
@@ -22,7 +24,7 @@ from hilden.spheremcg import (
     sphere_trivial,
     x_alphabet,
 )
-from hilden.words import format_word, parse_word, reduce
+from hilden.words import Word, cyclically_reduce, format_word, parse_word, reduce
 
 
 def _rand_braid(rng, m, length):
@@ -113,6 +115,90 @@ def test_inner_detection_on_random_conjugations():
         assert conjugation_auto(conj) == act
 
 
+def _is_inner_by_k_scan(a):
+    """Reference: try every x_1-exponent k the image lengths allow."""
+    alph = x_alphabet(a.rank)
+    if a.rank == 1:
+        return Word(alph, ()) if a.images[0].letters == (1,) else None
+    core, c = cyclically_reduce(a.images[0])
+    if core.letters != (1,):
+        return None
+    kmax = max(len(w) for w in a.images) + len(c) + 2
+    for k in range(-kmax, kmax + 1):
+        g = c * Word(alph, (1,) * k if k >= 0 else (-1,) * -k)
+        if all(g * Word(alph, (i + 1,)) * g.inverse() == w for i, w in enumerate(a.images)):
+            return g
+    return None
+
+
+def _sphere_relator(m):
+    return braid_word(m, list(range(1, m)) + list(range(m - 1, 0, -1)))
+
+
+def test_is_inner_matches_the_k_scan_on_braid_actions():
+    rng = random.Random(2026)
+    outcomes = []
+    for t in range(240):
+        m = rng.randint(3, 8)
+        c = _rand_braid(rng, m, rng.randint(0, 4))
+        if t % 3 == 0:
+            b = _rand_braid(rng, m, rng.randint(0, 8))
+        elif t % 3 == 1:
+            b = c * _sphere_relator(m) ** rng.randint(-2, 2) * c.inverse()
+        else:
+            b = c * _sphere_relator(m) * c.inverse() * _rand_braid(rng, m, 1)
+        act = artin_action(b)
+        got = is_inner(act)
+        assert got == _is_inner_by_k_scan(act)
+        outcomes.append(got is not None)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_is_inner_matches_the_k_scan_on_perturbed_conjugations():
+    rng = random.Random(2027)
+    outcomes = []
+    for t in range(240):
+        rank = rng.randint(2, 6)
+        ab = x_alphabet(rank)
+        g = reduce(ab, [rng.choice([1, -1]) * rng.randint(1, rank) for _ in range(rng.randint(0, 6))])
+        act = conjugation_auto(g)
+        if t % 2:
+            imgs = list(act.images)
+            i = rng.randrange(rank)
+            imgs[i] = imgs[i] * reduce(ab, [rng.choice([1, -1]) * rng.randint(1, rank)])
+            act = FreeAuto(rank, tuple(imgs))
+        got = is_inner(act)
+        assert got == _is_inner_by_k_scan(act)
+        outcomes.append(got is not None)
+    assert any(outcomes) and not all(outcomes)
+
+
+# first draw of random.Random(3) over g2..g4 and their inverses, 60 letters
+_LONG_WORD = (
+    "g4 g3 G4 g4 g3 G4 g2 G4 G3 g2 g4 G4 g4 g2 g3 g3 G4 G4 G3 G2 G2 g2 G2 G4 "
+    "G4 G3 G4 G4 G4 g3 g3 g4 G4 g4 g4 G3 g2 G4 G2 G2 G2 g3 G3 g2 g3 G4 G4 g2 "
+    "G2 g2 g2 G3 G2 g3 G3 g3 G3 G4 g4 G3"
+)
+
+
+def test_is_inner_does_a_bounded_number_of_concatenations(monkeypatch):
+    b = parse_braid_text(_LONG_WORD, strands=6)
+    act = artin_action(b)
+    assert sum(len(w) for w in act.images) > 50_000
+    calls = []
+    real_cat = M._cat
+
+    def counting_cat(a, b):
+        calls.append(1)
+        return real_cat(a, b)
+
+    monkeypatch.setattr(M, "_cat", counting_cat)
+    assert is_inner(act) is None
+    assert len(calls) <= 2 * act.rank + 4
+    monkeypatch.undo()
+    assert not mcg_equal(b, braid_word(6, []))
+
+
 def test_compose_autos_matches_substitution():
     rng = random.Random(7)
     for m in (4, 5):
@@ -162,6 +248,18 @@ def test_budget_abort_reports_progress():
     err = ei.value
     assert err.letters_done < err.letters_total == len(letters)
     assert err.size > err.budget == 50
+
+
+def test_budget_abort_fields_are_pinned():
+    # frozen values: the running size must report what a full recount does
+    for m, letters, budget, fields in (
+        (4, [1, -2] * 80, 50, (6, 160, 51, 50)),
+        (5, [1, -2, 3, -4] * 20, 1000, (15, 80, 1421, 1000)),
+    ):
+        with pytest.raises(BudgetExceededError) as ei:
+            artin_action(braid_word(m, letters), budget=budget)
+        err = ei.value
+        assert (err.letters_done, err.letters_total, err.size, err.budget) == fields
 
 
 def test_default_budget_is_generous():

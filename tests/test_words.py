@@ -109,6 +109,23 @@ def test_cyclically_reduce_of_reduced_word_is_itself():
     assert core == w and conj.letters == ()
 
 
+def test_cyclically_reduce_exact_cases():
+    empty = identity(AB)
+    assert cyclically_reduce(empty) == (empty, empty)
+    assert cyclically_reduce(W(2)) == (W(2), empty)
+    assert cyclically_reduce(W(1, -1)) == (empty, empty)
+    # fully conjugated: everything but the middle letter is the conjugator
+    core, conj = cyclically_reduce(W(1, 2, -3, 2, 3, -2, -1))
+    assert (core.letters, conj.letters) == ((2,), (1, 2, -3))
+
+
+def test_cyclically_reduce_strips_a_long_conjugator():
+    # 40,000 letters: the strip walks two indices, it does not copy per pair
+    h = W(*([1, 2] * 20_000))
+    core, conj = cyclically_reduce(conjugate(W(3), h))
+    assert core == W(3) and conj == h
+
+
 # --- substitution (homomorphism into a target alphabet) --------------------
 
 
@@ -185,3 +202,20 @@ def test_format_parse_round_trip(ls):
 def test_conjugation_is_undone_by_inverse_conjugation(ls, ms):
     w, h = reduce(AB, ls), reduce(AB, ms)
     assert conjugate(conjugate(w, h), h.inverse()) == w
+
+
+def _cyclically_reduce_naive(w):
+    ls, pre = list(w.letters), []
+    while len(ls) >= 2 and ls[0] == -ls[-1]:
+        pre.append(ls[0])
+        ls = ls[1:-1]
+    return reduce(AB, ls), reduce(AB, pre)
+
+
+@settings(max_examples=200)
+@given(letters_st, letters_st)
+def test_cyclically_reduce_matches_the_naive_strip(ls, ms):
+    for w in (reduce(AB, ls), conjugate(reduce(AB, ls), reduce(AB, ms))):
+        core, conj = cyclically_reduce(w)
+        assert (core, conj) == _cyclically_reduce_naive(w)
+        assert conj * core * conj.inverse() == w
