@@ -158,6 +158,8 @@ def _report(command: str, params: dict, rows: list[dict]) -> dict:
 
 def _cmd_verify(args) -> int:
     if args.group == "lemmas":
+        if args.k is not None:
+            raise ValueError("presentation 'lemmas' takes no k")
         rep = PRES.verify_lemma_identities(args.n, jobs=args.jobs, budget=args.budget)
     else:
         pres = PRES.build_presentation(args.group, args.n, args.k)

@@ -13,12 +13,15 @@ parameters):
     build_SH(n, k)            handlebody variant; k >= 3 twist order
 
 Relators are stored as single freely reduced words ``lhs * rhs^-1``, each with
-a family tag like ``(2)(d)`` and a unique id.  ``verify`` pushes every relator
-through a generator assignment into the braid group on 2n + 2 strands and
-reports where it closes: ``braid`` (Garside normal form trivial),
-``sphere_mcg`` (trivial in the marked-sphere mapping class group), or
-``permutation`` (for the finite quotient).  A relator that closes nowhere is
-``FAILED``; an aborted sphere computation is ``UNRESOLVED``.
+a family tag like ``(2)(d)`` and a unique id.  Builders assemble them as lists
+of signed generator letters (inversion is negate-and-reverse) and never spell
+or parse text; ``parse_word`` serves JSON import only.
+
+``verify`` pushes every relator through a generator assignment into the braid
+group on 2n + 2 strands and reports where it closes: ``braid`` (Garside normal
+form trivial), ``sphere_mcg`` (trivial in the marked-sphere mapping class
+group), or ``permutation`` (for the finite quotient).  A relator that closes
+nowhere is ``FAILED``; an aborted sphere computation is ``UNRESOLVED``.
 """
 
 from __future__ import annotations
@@ -33,54 +36,24 @@ from typing import Callable, Sequence
 from . import braids as B
 from . import perms as P
 from . import spheremcg as M
-from .words import Alphabet, Word, parse_word
+from .words import Alphabet, Word, parse_word, reduce
 
-# --- token helpers -------------------------------------------------------------
+# --- letter helpers: +k is generator k of the emitter's alphabet, -k its inverse
 
-def _it(tok: str) -> str:
-    return tok[:-3] if tok.endswith("^-1") else tok + "^-1"
-
-
-def _iv(toks: Sequence[str]) -> list[str]:
-    return [_it(t) for t in reversed(toks)]
+def _iv(xs: Sequence[int]) -> list[int]:
+    return [-x for x in reversed(xs)]
 
 
-def _pw(toks: Sequence[str], e: int) -> list[str]:
-    return list(toks) if e == 1 else _iv(toks)
+def _pw(xs: Sequence[int], e: int) -> list[int]:
+    return list(xs) if e == 1 else _iv(xs)
 
 
-def _comm(a: Sequence[str], b: Sequence[str]) -> list[str]:
+def _comm(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return list(a) + list(b) + _iv(a) + _iv(b)
 
 
-def _eq(lhs: Sequence[str], rhs: Sequence[str]) -> list[str]:
+def _eq(lhs: Sequence[int], rhs: Sequence[int]) -> list[int]:
     return list(lhs) + _iv(rhs)
-
-
-def _s(i: int) -> list[str]:
-    return [f"s{i}"]
-
-
-def _r(i: int) -> list[str]:
-    return [f"r{i}"]
-
-
-def _t(i: int) -> list[str]:
-    return [f"t{i}"]
-
-
-def _t_all(n: int) -> list[str]:
-    """t_1 ... t_{n+1}: one token per block."""
-    return [f"t{i}" for i in range(1, n + 2)]
-
-
-_RHO = ["rho"]
-_SHIFT = ["s"]
-
-
-def _pair(kind: str, i: int, j: int) -> list[str]:
-    lo, hi = min(i, j), max(i, j)
-    return [f"{kind}{lo}.{hi}"]
 
 
 # Triple-commutation schedule: with strictly increasing indices a < b < c the
@@ -143,19 +116,45 @@ def presentation_from_json(d: dict) -> Presentation:
 
 
 class _Emitter:
-    """Collects (id, tag, token-list) rows and words them up at the end."""
+    """Collects (id, tag, letters) rows and reduces them to words at the end.
+
+    The generator methods resolve a name to its one-letter list in the
+    emitter's alphabet, so the family emitters never spell or parse text."""
 
     def __init__(self, generators: Sequence[str]):
         self.alph = Alphabet(tuple(generators))
         self.generators = tuple(generators)
-        self.rows: list[tuple[str, str, list[str]]] = []
+        self.rows: list[tuple[str, str, list[int]]] = []
 
-    def add(self, tag: str, idx: str, toks: list[str]) -> None:
-        self.rows.append((f"{tag}{idx}", tag, toks))
+    def s(self, i: int) -> list[int]:
+        return [self.alph.index(f"s{i}")]
+
+    def r(self, i: int) -> list[int]:
+        return [self.alph.index(f"r{i}")]
+
+    def t(self, i: int) -> list[int]:
+        return [self.alph.index(f"t{i}")]
+
+    def t_all(self, n: int) -> list[int]:
+        """t_1 ... t_{n+1}: one letter per block."""
+        return [self.alph.index(f"t{i}") for i in range(1, n + 2)]
+
+    def pair(self, kind: str, i: int, j: int) -> list[int]:
+        return [self.alph.index(f"{kind}{min(i, j)}.{max(i, j)}")]
+
+    @property
+    def rho(self) -> list[int]:
+        return [self.alph.index("rho")]
+
+    @property
+    def shift(self) -> list[int]:
+        return [self.alph.index("s")]
+
+    def add(self, tag: str, idx: str, letters: list[int]) -> None:
+        self.rows.append((f"{tag}{idx}", tag, letters))
 
     def build(self, name: str, n: int, k: int | None = None) -> Presentation:
-        words = tuple(parse_word(self.alph, " ".join(toks) if toks else "1")
-                      for _, _, toks in self.rows)
+        words = tuple(reduce(self.alph, letters) for _, _, letters in self.rows)
         return Presentation(
             name, n, k, self.generators, words,
             tuple(tag for _, tag, _ in self.rows),
@@ -163,10 +162,14 @@ class _Emitter:
         )
 
 
+def _twist_generators(n: int) -> list[str]:
+    return [f"t{i}" for i in range(1, n + 2)]
+
+
 def _lh_generators(n: int) -> list[str]:
     return ([f"s{i}" for i in range(1, n + 1)]
             + [f"r{i}" for i in range(1, n + 1)]
-            + _t_all(n)
+            + _twist_generators(n)
             + ["rho"])
 
 
@@ -192,90 +195,92 @@ def _emit_lh_12(e: _Emitter, n: int) -> None:
         for j in range(i + 2, n + 1):
             for a in "sr":
                 for b in "sr":
-                    wa = _s(i) if a == "s" else _r(i)
-                    wb = _s(j) if b == "s" else _r(j)
+                    wa = e.s(i) if a == "s" else e.r(i)
+                    wb = e.s(j) if b == "s" else e.r(j)
                     e.add("(1)(a)", f"[{a}{i},{b}{j}]", _comm(wa, wb))
     for i in range(1, n + 1):
         for j in range(1, n + 2):
             if j in (i, i + 1):
                 continue
-            e.add("(1)(b)", f"[s{i},t{j}]", _comm(_s(i), _t(j)))
-            e.add("(1)(b)", f"[r{i},t{j}]", _comm(_r(i), _t(j)))
+            e.add("(1)(b)", f"[s{i},t{j}]", _comm(e.s(i), e.t(j)))
+            e.add("(1)(b)", f"[r{i},t{j}]", _comm(e.r(i), e.t(j)))
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
-            e.add("(1)(c)", f"[t{i},t{j}]", _comm(_t(i), _t(j)))
+            e.add("(1)(c)", f"[t{i},t{j}]", _comm(e.t(i), e.t(j)))
     for i in range(1, n + 1):
-        e.add("(1)(d)", f"[s{i}]", _comm(_s(i), _RHO))
+        e.add("(1)(d)", f"[s{i}]", _comm(e.s(i), e.rho))
     for i in range(1, n + 2):
-        e.add("(1)(e)", f"[t{i}]", _comm(_t(i), _RHO))
+        e.add("(1)(e)", f"[t{i}]", _comm(e.t(i), e.rho))
     for i in range(1, n):
         for a in "sr":
-            w1 = _s(i) if a == "s" else _r(i)
-            w2 = _s(i + 1) if a == "s" else _r(i + 1)
+            w1 = e.s(i) if a == "s" else e.r(i)
+            w2 = e.s(i + 1) if a == "s" else e.r(i + 1)
             e.add("(2)(a)", f"[{a}{i}]", _eq(w1 + w2 + w1, w2 + w1 + w2))
         for ex in (1, -1):
-            se_i, se_i1 = _pw(_s(i), ex), _pw(_s(i + 1), ex)
+            se_i, se_i1 = _pw(e.s(i), ex), _pw(e.s(i + 1), ex)
             e.add("(2)(b)", f"[i={i},e={ex}]",
-                  _eq(se_i + se_i1 + _r(i), _r(i + 1) + se_i + se_i1))
+                  _eq(se_i + se_i1 + e.r(i), e.r(i + 1) + se_i + se_i1))
         e.add("(2)(c)", f"[i={i}]",
-              _eq(_r(i) + _r(i + 1) + _s(i), _s(i + 1) + _r(i) + _r(i + 1)))
+              _eq(e.r(i) + e.r(i + 1) + e.s(i), e.s(i + 1) + e.r(i) + e.r(i + 1)))
     for i in range(1, n + 1):
         e.add("(2)(d)", f"[i={i}]",
-              _eq(_r(i) + _RHO + _s(i), _RHO + _s(i) + _iv(_r(i))))
+              _eq(e.r(i) + e.rho + e.s(i), e.rho + e.s(i) + _iv(e.r(i))))
         for ex in (1, -1):
-            se = _pw(_s(i), ex)
-            e.add("(2)(e)", f"[i={i},e={ex}]", _eq(se + _t(i), _t(i + 1) + se))
-        e.add("(2)(f)", f"[i={i}]", _eq(_r(i) + _t(i), _t(i + 1) + _r(i)))
+            se = _pw(e.s(i), ex)
+            e.add("(2)(e)", f"[i={i},e={ex}]", _eq(se + e.t(i), e.t(i + 1) + se))
+        e.add("(2)(f)", f"[i={i}]", _eq(e.r(i) + e.t(i), e.t(i + 1) + e.r(i)))
         e.add("(2)(g)", f"[i={i}]",
-              _eq(_t(i) + _s(i) + _s(i) + _r(i), _r(i) + _s(i) + _s(i) + _t(i + 1)))
+              _eq(e.t(i) + e.s(i) + e.s(i) + e.r(i), e.r(i) + e.s(i) + e.s(i) + e.t(i + 1)))
 
 
 def _emit_rho_square(e: _Emitter, n: int, tag: str) -> None:
-    e.add(tag, "", _eq(_RHO + _RHO, _t_all(n)))
+    e.add(tag, "", _eq(e.rho + e.rho, e.t_all(n)))
 
 
 def _emit_s_braid(e: _Emitter, n: int, far_tag: str, braid_tag: str) -> None:
     """Far commutation and the braid relation of the block swaps s_i."""
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
-            e.add(far_tag, f"[{i},{j}]", _comm(_s(i), _s(j)))
+            e.add(far_tag, f"[{i},{j}]", _comm(e.s(i), e.s(j)))
     for i in range(1, n):
-        e.add(braid_tag, f"[{i}]", _eq(_s(i) + _s(i + 1) + _s(i), _s(i + 1) + _s(i) + _s(i + 1)))
+        e.add(braid_tag, f"[{i}]", _eq(e.s(i) + e.s(i + 1) + e.s(i), e.s(i + 1) + e.s(i) + e.s(i + 1)))
 
 
 def _emit_s_rho_comm(e: _Emitter, n: int, tag: str) -> None:
     for i in range(1, n + 1):
-        e.add(tag, f"[{i}]", _comm(_s(i), _RHO))
+        e.add(tag, f"[{i}]", _comm(e.s(i), e.rho))
 
 
 def _emit_rho_pairs(e: _Emitter, n: int, p_tag: str, xy_tag: str) -> None:
     """rho commutes with p_{i,j} and sends x/y_{i,j} to its inverse times p_{i,j}."""
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
-            e.add(p_tag, f"[{i},{j}]", _comm(_RHO, _pair("p", i, j)))
+            e.add(p_tag, f"[{i},{j}]", _comm(e.rho, e.pair("p", i, j)))
             for al in "xy":
                 e.add(xy_tag, f"[{al},{i},{j}]",
-                      _eq(_RHO + _pair(al, i, j) + _iv(_RHO),
-                          _iv(_pair(al, i, j)) + _pair("p", i, j)))
+                      _eq(e.rho + e.pair(al, i, j) + _iv(e.rho),
+                          _iv(e.pair(al, i, j)) + e.pair("p", i, j)))
 
 
-def _zeta_tokens(n: int) -> list[str]:
-    out: list[str] = []
+def _zeta_tokens(e: _Emitter, n: int) -> list[int]:
+    """r_1 ... r_n s_n ... s_1 t_1, one letter each; the letters after the
+    first n spell the shift."""
+    out: list[int] = []
     for i in range(1, n + 1):
-        out += _r(i)
+        out += e.r(i)
     for i in range(n, 0, -1):
-        out += _s(i)
-    out += _t(1)
+        out += e.s(i)
+    out += e.t(1)
     return out
 
 
 def _emit_lh_45(e: _Emitter, n: int) -> None:
-    e.add("(4)", "", _zeta_tokens(n))
-    stairs: list[str] = []
+    e.add("(4)", "", _zeta_tokens(e, n))
+    stairs: list[int] = []
     for a in range(1, n + 1):
         for b in range(a, 0, -1):
-            stairs += _s(b)
-    e.add("(5)", "", _t_all(n) + stairs + stairs)
+            stairs += e.s(b)
+    e.add("(5)", "", e.t_all(n) + stairs + stairs)
 
 
 def _emit_pure_families(e: _Emitter, n: int) -> None:
@@ -284,14 +289,14 @@ def _emit_pure_families(e: _Emitter, n: int) -> None:
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
             for k in range(1, N + 1):
-                e.add("(C-pt)", f"[{i},{j};{k}]", _comm(_pair("p", i, j), _t(k)))
+                e.add("(C-pt)", f"[{i},{j};{k}]", _comm(e.pair("p", i, j), e.t(k)))
                 if k != i:
-                    e.add("(C-xt)", f"[{i},{j};{k}]", _comm(_pair("x", i, j), _t(k)))
+                    e.add("(C-xt)", f"[{i},{j};{k}]", _comm(e.pair("x", i, j), e.t(k)))
                 if k != j:
-                    e.add("(C-yt)", f"[{i},{j};{k}]", _comm(_pair("y", i, j), _t(k)))
+                    e.add("(C-yt)", f"[{i},{j};{k}]", _comm(e.pair("y", i, j), e.t(k)))
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
-            e.add("(C-tt)", f"[{i},{j}]", _comm(_t(i), _t(j)))
+            e.add("(C-tt)", f"[{i},{j}]", _comm(e.t(i), e.t(j)))
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
             for k in range(j + 1, N + 1):
@@ -299,45 +304,45 @@ def _emit_pure_families(e: _Emitter, n: int) -> None:
                     for a in "pxy":
                         for b in "pxy":
                             e.add("(C1)", f"[{a}{i}.{j},{b}{k}.{l}]",
-                                  _comm(_pair(a, i, j), _pair(b, k, l)))
+                                  _comm(e.pair(a, i, j), e.pair(b, k, l)))
                             e.add("(C3)", f"[{a}{i}.{k},{b}{j}.{l}]",
-                                  _comm(_pair(a, i, k),
-                                        _pair("p", j, k) + _pair(b, j, l) + _iv(_pair("p", j, k))))
+                                  _comm(e.pair(a, i, k),
+                                        e.pair("p", j, k) + e.pair(b, j, l) + _iv(e.pair("p", j, k))))
     for a_ in range(1, N + 1):
         for b_ in range(a_ + 1, N + 1):
             for c_ in range(b_ + 1, N + 1):
                 for (al, be, ga) in ROW1:
                     e.add("(C2)", f"[ab|{al}{be}{ga};{a_},{b_},{c_}]",
-                          _comm(_pair(al, a_, b_), _pair(be, a_, c_) + _pair(ga, b_, c_)))
+                          _comm(e.pair(al, a_, b_), e.pair(be, a_, c_) + e.pair(ga, b_, c_)))
                 for (al, be, ga) in ROW2:
                     e.add("(C2)", f"[ac|{al}{be}{ga};{a_},{b_},{c_}]",
-                          _comm(_pair(al, a_, c_), _pair(be, b_, c_) + _pair(ga, a_, b_)))
+                          _comm(e.pair(al, a_, c_), e.pair(be, b_, c_) + e.pair(ga, a_, b_)))
                 for (al, be, ga) in ROW3:
                     e.add("(C2)", f"[bc|{al}{be}{ga};{a_},{b_},{c_}]",
-                          _comm(_pair(al, b_, c_), _pair(be, a_, b_) + _pair(ga, a_, c_)))
+                          _comm(e.pair(al, b_, c_), e.pair(be, a_, b_) + e.pair(ga, a_, c_)))
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
-            e.add("(M-x)", f"[{i},{j}]", _comm(_pair("x", i, j), _pair("p", i, j) + _t(i)))
-            e.add("(M-y)", f"[{i},{j}]", _comm(_pair("y", i, j), _pair("p", i, j) + _t(j)))
+            e.add("(M-x)", f"[{i},{j}]", _comm(e.pair("x", i, j), e.pair("p", i, j) + e.t(i)))
+            e.add("(M-y)", f"[{i},{j}]", _comm(e.pair("y", i, j), e.pair("p", i, j) + e.t(j)))
 
 
-def _z_relator_tokens(n: int) -> list[str]:
+def _z_relator_tokens(e: _Emitter, n: int) -> list[int]:
     N = n + 1
-    toks: list[str] = []
+    letters: list[int] = []
     for j in range(N, 1, -1):
-        toks += _iv(_pair("x", 1, j))
+        letters += _iv(e.pair("x", 1, j))
     for j in range(2, N + 1):
-        toks += _pair("p", 1, j)
-    toks += _t(1)
-    return toks
+        letters += e.pair("p", 1, j)
+    letters += e.t(1)
+    return letters
 
 
-def _f_relator_tokens(n: int) -> list[str]:
-    toks = _t_all(n)
+def _f_relator_tokens(e: _Emitter, n: int) -> list[int]:
+    letters = e.t_all(n)
     for j in range(2, n + 2):
         for i in range(1, j):
-            toks += _pair("p", i, j)
-    return toks
+            letters += e.pair("p", i, j)
+    return letters
 
 
 # --- the seven builders ----------------------------------------------------------
@@ -365,7 +370,7 @@ def build_LH(n: int) -> Presentation:
 def build_PH1(n: int) -> Presentation:
     """Pure block group, framed version: p/x/y pairs and block twists t."""
     _check_n(n)
-    e = _Emitter(_pair_generators(n) + _t_all(n))
+    e = _Emitter(_pair_generators(n) + _twist_generators(n))
     _emit_pure_families(e, n)
     N = n + 1
     pairs = N * (N - 1) // 2
@@ -379,10 +384,10 @@ def build_PH1(n: int) -> Presentation:
 def build_PH(n: int) -> Presentation:
     """Pure block group on the sphere: adds the loop and full-twist relators."""
     _check_n(n)
-    e = _Emitter(_pair_generators(n) + _t_all(n))
+    e = _Emitter(_pair_generators(n) + _twist_generators(n))
     _emit_pure_families(e, n)
-    e.add("(Z)", "", _z_relator_tokens(n))
-    e.add("(F)", "", _f_relator_tokens(n))
+    e.add("(Z)", "", _z_relator_tokens(e, n))
+    e.add("(F)", "", _f_relator_tokens(e, n))
     return e.build("ph", n)
 
 
@@ -391,9 +396,9 @@ def build_VW(n: int) -> Presentation:
     _check_n(n)
     e = _Emitter([f"s{i}" for i in range(1, n + 1)] + ["rho"])
     for i in range(1, n + 1):
-        e.add("(invol-s)", f"[{i}]", _s(i) + _s(i))
+        e.add("(invol-s)", f"[{i}]", e.s(i) + e.s(i))
     _emit_s_braid(e, n, "(far)", "(braid)")
-    e.add("(invol-r)", "", _RHO + _RHO)
+    e.add("(invol-r)", "", e.rho + e.rho)
     _emit_s_rho_comm(e, n, "(comm-sr)")
     expected = n + (n - 1) * (n - 2) // 2 + (n - 1) + 1 + n
     return _checked(e.build("vw", n), expected)
@@ -405,29 +410,29 @@ def build_intermediate_LH(n: int) -> Presentation:
     N = n + 1
     e = _Emitter(_lh_generators(n) + _pair_generators(n))
     _emit_pure_families(e, n)
-    e.add("(Z)", "", _z_relator_tokens(n))
-    e.add("(F)", "", _f_relator_tokens(n))
+    e.add("(Z)", "", _z_relator_tokens(e, n))
+    e.add("(F)", "", _f_relator_tokens(e, n))
     for i in range(1, n + 1):
-        e.add("(B-sq)", f"[{i}]", _eq(_s(i) + _s(i), _pair("p", i, i + 1)))
+        e.add("(B-sq)", f"[{i}]", _eq(e.s(i) + e.s(i), e.pair("p", i, i + 1)))
     _emit_s_braid(e, n, "(B-far)", "(B-braid)")
     _emit_rho_square(e, n, "(B-rho)")
     _emit_s_rho_comm(e, n, "(B-srho)")
     for k in range(1, n + 1):
         for i in range(1, N + 1):
             if i == k:
-                rhs = _t(k + 1)
+                rhs = e.t(k + 1)
             elif i == k + 1:
-                rhs = _t(k)
+                rhs = e.t(k)
             else:
-                rhs = _t(i)
-            e.add("(A1)(a)", f"[k={k},i={i}]", _eq(_s(k) + _t(i) + _iv(_s(k)), rhs))
+                rhs = e.t(i)
+            e.add("(A1)(a)", f"[k={k},i={i}]", _eq(e.s(k) + e.t(i) + _iv(e.s(k)), rhs))
     for i in range(1, n + 1):
-        p_ = _pair("p", i, i + 1)
-        e.add("(A1)(b)", f"[p,{i}]", _eq(_s(i) + p_ + _iv(_s(i)), p_))
+        p_ = e.pair("p", i, i + 1)
+        e.add("(A1)(b)", f"[p,{i}]", _eq(e.s(i) + p_ + _iv(e.s(i)), p_))
         e.add("(A1)(b)", f"[x,{i}]",
-              _eq(_s(i) + _pair("x", i, i + 1) + _iv(_s(i)), p_ + _pair("y", i, i + 1) + _iv(p_)))
+              _eq(e.s(i) + e.pair("x", i, i + 1) + _iv(e.s(i)), p_ + e.pair("y", i, i + 1) + _iv(p_)))
         e.add("(A1)(b)", f"[y,{i}]",
-              _eq(_s(i) + _pair("y", i, i + 1) + _iv(_s(i)), _pair("x", i, i + 1)))
+              _eq(e.s(i) + e.pair("y", i, i + 1) + _iv(e.s(i)), e.pair("x", i, i + 1)))
     for al in "pxy":
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
@@ -435,19 +440,19 @@ def build_intermediate_LH(n: int) -> Presentation:
                     if k == i and j == i + 1:
                         continue  # covered by (A1)(b)
                     if k == i - 1:
-                        rhs = _pair("p", i - 1, i) + _pair(al, i - 1, j) + _iv(_pair("p", i - 1, i))
+                        rhs = e.pair("p", i - 1, i) + e.pair(al, i - 1, j) + _iv(e.pair("p", i - 1, i))
                     elif k == i and j - i >= 2:
-                        rhs = _pair(al, i + 1, j)
+                        rhs = e.pair(al, i + 1, j)
                     elif k == j - 1 and j - i >= 2:
-                        rhs = _pair("p", j - 1, j) + _pair(al, i, j - 1) + _iv(_pair("p", j - 1, j))
+                        rhs = e.pair("p", j - 1, j) + e.pair(al, i, j - 1) + _iv(e.pair("p", j - 1, j))
                     elif k == j:
-                        rhs = _pair(al, i, j + 1)
+                        rhs = e.pair(al, i, j + 1)
                     else:
-                        rhs = _pair(al, i, j)
+                        rhs = e.pair(al, i, j)
                     e.add("(A1)(c)", f"[{al},{i},{j};k={k}]",
-                          _eq(_s(k) + _pair(al, i, j) + _iv(_s(k)), rhs))
+                          _eq(e.s(k) + e.pair(al, i, j) + _iv(e.s(k)), rhs))
     for i in range(1, N + 1):
-        e.add("(A2)(a)", f"[{i}]", _comm(_RHO, _t(i)))
+        e.add("(A2)(a)", f"[{i}]", _comm(e.rho, e.t(i)))
     _emit_rho_pairs(e, n, "(A2)(b)", "(A2)(c)")
     return e.build("intermediate-lh", n)
 
@@ -462,31 +467,27 @@ def build_prop_LH(n: int) -> Presentation:
     _emit_rho_square(e, n, "(3)")
     _emit_lh_45(e, n)
     for i in range(1, n + 1):
-        e.add("(6)(a)", f"[p,{i}]", _eq(_pair("p", i, i + 1), _s(i) + _s(i)))
-        e.add("(6)(a)", f"[x,{i}]", _eq(_pair("x", i, i + 1), _s(i) + _iv(_r(i))))
-        e.add("(6)(a)", f"[y,{i}]", _eq(_pair("y", i, i + 1), _iv(_r(i)) + _s(i)))
+        e.add("(6)(a)", f"[p,{i}]", _eq(e.pair("p", i, i + 1), e.s(i) + e.s(i)))
+        e.add("(6)(a)", f"[x,{i}]", _eq(e.pair("x", i, i + 1), e.s(i) + _iv(e.r(i))))
+        e.add("(6)(a)", f"[y,{i}]", _eq(e.pair("y", i, i + 1), _iv(e.r(i)) + e.s(i)))
     for al in "pxy":
         for i in range(1, N + 1):
             for j in range(i + 2, N + 1):
-                chain: list[str] = []
+                chain: list[int] = []
                 for a in range(j - 1, i, -1):
-                    chain += _s(a)
+                    chain += e.s(a)
                 e.add("(6)(b)", f"[{al},{i},{j}]",
-                      _eq(_pair(al, i, j), chain + _pair(al, i, i + 1) + _iv(chain)))
-    shift_rhs: list[str] = []
-    for i in range(n, 0, -1):
-        shift_rhs += _s(i)
-    shift_rhs += _t(1)
-    e.add("(6)(c)", "", _eq(_SHIFT, shift_rhs))
+                      _eq(e.pair(al, i, j), chain + e.pair(al, i, i + 1) + _iv(chain)))
+    e.add("(6)(c)", "", _eq(e.shift, _zeta_tokens(e, n)[n:]))
     for j in range(2, N + 1):
         for (al, be) in [("p", "p"), ("x", "y"), ("y", "x")]:
             e.add("(6)(d)", f"[{al}->{be},j={j}]",
-                  _eq(_SHIFT + _pair(al, 1, j) + _iv(_SHIFT), _pair(be, j - 1, N)))
+                  _eq(e.shift + e.pair(al, 1, j) + _iv(e.shift), e.pair(be, j - 1, N)))
     for i in range(2, N + 1):
         for j in range(i + 1, N + 1):
             for al in "pxy":
                 e.add("(6)(e)", f"[{al},{i},{j}]",
-                      _eq(_SHIFT + _pair(al, i, j) + _iv(_SHIFT), _pair(al, i - 1, j - 1)))
+                      _eq(e.shift + e.pair(al, i, j) + _iv(e.shift), e.pair(al, i - 1, j - 1)))
     _emit_rho_pairs(e, n, "(6)(f)", "(6)(g)")
     return e.build("prop-lh", n)
 
@@ -500,20 +501,18 @@ def build_SH(n: int, k: int) -> Presentation:
     e = _Emitter(_lh_generators(n))
     _emit_lh_12(e, n)
     _emit_rho_square(e, n, "(3)")
-    zeta = _zeta_tokens(n)
+    zeta = _zeta_tokens(e, n)
     e.add("(4)", "", zeta * k)
-    blk: list[str] = []
+    blk: list[int] = []
     for j in range(1, n + 1):
         for b in range(n, j - 1, -1):
-            blk += _s(b)
-    e.add("(5)", "", _t_all(n)[::-1] + blk + blk)
-    e.add("(6)(a)", "[s1]", _comm(zeta, _s(1)))
-    e.add("(6)(a)", "[r1]", _comm(zeta, _r(1)))
-    rprod: list[str] = []
-    for i in range(1, n + 1):
-        rprod += _r(i)
-    e.add("(6)(b)", "", _eq(rprod + _t(n + 1), _t(1) + rprod))
-    e.add("(6)(c)", "", _eq(_RHO + zeta, _iv(zeta) + _RHO))
+            blk += e.s(b)
+    e.add("(5)", "", e.t_all(n)[::-1] + blk + blk)
+    e.add("(6)(a)", "[s1]", _comm(zeta, e.s(1)))
+    e.add("(6)(a)", "[r1]", _comm(zeta, e.r(1)))
+    rprod = zeta[:n]  # r_1 ... r_n
+    e.add("(6)(b)", "", _eq(rprod + e.t(n + 1), e.t(1) + rprod))
+    e.add("(6)(c)", "", _eq(e.rho + zeta, _iv(zeta) + e.rho))
     return e.build("sh", n, k)
 
 
@@ -699,46 +698,46 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
             for ex in (1, -1):
-                down: list[str] = []
+                down: list[int] = []
                 for a in range(j - 1, i - 1, -1):
-                    down += _pw(_s(a), ex)
-                up = down[::-1]  # one token per block swap
+                    down += _pw(e.s(a), ex)
+                up = down[::-1]  # one letter per block swap
                 e.add("t-ladder", f"[desc-bottom,{i},{j},e={ex}]",
-                      _eq(down + _t(i), _t(j) + down))
+                      _eq(down + e.t(i), e.t(j) + down))
                 e.add("t-ladder", f"[asc-top,{i},{j},e={ex}]",
-                      _eq(up + _t(j), _t(i) + up))
+                      _eq(up + e.t(j), e.t(i) + up))
                 for k in range(i + 1, j + 1):
                     e.add("t-ladder", f"[desc-mid,{i},{j},k={k},e={ex}]",
-                          _eq(down + _t(k), _t(k - 1) + down))
+                          _eq(down + e.t(k), e.t(k - 1) + down))
                     e.add("t-ladder", f"[asc-mid,{i},{j},k={k},e={ex}]",
-                          _eq(up + _t(k - 1), _t(k) + up))
+                          _eq(up + e.t(k - 1), e.t(k) + up))
 
     # index-slides and the hoist form of distant pairs
     for al in "pxy":
         for i in range(1, N + 1):
             for j in range(i + 2, N + 1):
                 e.add("slide-left", f"[{al},{i},{j}]",
-                      _eq(_iv(_s(j - 1)) + _pair(al, i, j) + _s(j - 1), _pair(al, i, j - 1)))
+                      _eq(_iv(e.s(j - 1)) + e.pair(al, i, j) + e.s(j - 1), e.pair(al, i, j - 1)))
             for j in range(i + 1, N + 1):
                 if i >= 2:
                     e.add("slide-up", f"[{al},{i},{j}]",
-                          _eq(_iv(_s(i - 1)) + _pair(al, i, j) + _s(i - 1), _pair(al, i - 1, j)))
+                          _eq(_iv(e.s(i - 1)) + e.pair(al, i, j) + e.s(i - 1), e.pair(al, i - 1, j)))
         for i in range(2, n + 1):
             for ex in (1, -1):
-                sL, sR = _pw(_s(i - 1), ex), _pw(_s(i), ex)
+                sL, sR = _pw(e.s(i - 1), ex), _pw(e.s(i), ex)
                 e.add("swap-conj", f"[{al},i={i},e={ex}]",
-                      _eq(sL + _pair(al, i, i + 1) + _iv(sL), _iv(sR) + _pair(al, i - 1, i) + sR))
+                      _eq(sL + e.pair(al, i, i + 1) + _iv(sL), _iv(sR) + e.pair(al, i - 1, i) + sR))
         for i in range(1, N + 1):
             for j in range(i + 2, N + 1):
-                pre: list[str] = []
+                pre: list[int] = []
                 for a in range(i, j - 1):
-                    pre += _iv(_s(a))
+                    pre += _iv(e.s(a))
                 e.add("hoist", f"[{al},{i},{j}]",
-                      _eq(_pair(al, i, j), pre + _pair(al, j - 1, j) + _iv(pre)))
+                      _eq(e.pair(al, i, j), pre + e.pair(al, j - 1, j) + _iv(pre)))
 
     # rho commutes with the block twists
     for i in range(1, N + 1):
-        e.add("rho-t-comm", f"[{i}]", _comm(_RHO, _t(i)))
+        e.add("rho-t-comm", f"[{i}]", _comm(e.rho, e.t(i)))
 
     # families the builders emit, expanded through their assignments.  (4)
     # and (5) are sphere-level words, (6)(b) and (6)(c) restate the
@@ -754,10 +753,10 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
     # the loop word and the full twist, spelled as in (Z), (F) and (4), against
     # their letter words
     z = B.build_generator("z", n)
-    for tag, toks, word in (("z-word", _z_relator_tokens(n), z),
-                            ("fulltwist-word", _f_relator_tokens(n), B.full_twist(2 * n + 2)),
-                            ("zeta-image", _zeta_tokens(n), z)):
-        rel = parse_word(prop.alphabet, " ".join(toks))
+    for tag, letters, word in (("z-word", _z_relator_tokens(e, n), z),
+                               ("fulltwist-word", _f_relator_tokens(e, n), B.full_twist(2 * n + 2)),
+                               ("zeta-image", _zeta_tokens(e, n), z)):
+        rel = reduce(prop.alphabet, letters)
         out.append((tag, tag, image_letters(rel, prop_assign) + list(word.inverse().letters)))
     return out
 

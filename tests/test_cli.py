@@ -48,6 +48,14 @@ def test_verify_lemmas():
     assert len(d["rows"]) == 38 and all(r["closes_at"] == "braid" for r in d["rows"])
 
 
+def test_verify_lemmas_rejects_k_like_every_group_without_one():
+    code, out, err = run(["verify", "--group", "lemmas", "--n", "2", "--k", "5"])
+    assert code == 2 and out == ""
+    assert "presentation 'lemmas' takes no k" in err
+    code, _, err = run(["verify", "--group", "lh", "--n", "2", "--k", "5"])
+    assert code == 2 and "presentation 'lh' takes no k" in err
+
+
 def test_verify_records_the_artin_convention():
     code, d, _ = run_json(["verify", "--group", "ph", "--n", "1"])
     assert code == 0

@@ -1,7 +1,7 @@
 """sha256 digests of everything the builders emit.
 
-Each digest covers the JSON of one builder at n = 1..4 (``sh`` at k = 3..5),
-the identity schedule's (id, tag, freely reduced letters) rows, or the
+Each digest covers the JSON of one builder at n = 1..4 (``sh`` at k = 3..5)
+or at larger n, the identity schedule's (id, tag, freely reduced letters) rows, or the
 letters of a builder's generator assignment.  A changed relator, tag, id,
 image letter or order changes a digest, so a refactor of the builders, the
 token grammar or the assignments that keeps these passing keeps every byte
@@ -48,6 +48,35 @@ BUILDER_JSON = {
         "8b6a653b27c59bb12a8788f021e0f9a48e995c4678aadbf2e8bca6b692dd242b",
 }
 
+# Past the n <= 4 above: lh and vw at the algebra sweep's n = 5..20, the
+# others at n = 5, 6 (sh at k = 3..6).
+LARGE_BUILDER_CASES = {
+    "lh": [(n, None) for n in range(5, 21)],
+    "vw": [(n, None) for n in range(5, 21)],
+    "sh": [(n, k) for n in (5, 6) for k in range(3, 7)],
+    "ph": [(n, None) for n in (5, 6)],
+    "ph1": [(n, None) for n in (5, 6)],
+    "intermediate-lh": [(n, None) for n in (5, 6)],
+    "prop-lh": [(n, None) for n in (5, 6)],
+}
+
+LARGE_BUILDER_JSON = {
+    "lh":
+        "56382eb3be82333875d027db8d5136b4bd19948e676ab7d3f30fbc2c007a5ddc",
+    "vw":
+        "2040941517eee43ae296d5b278932629342e2469998375f392bf5f901715ad42",
+    "sh":
+        "12f8e2315f8ee964d1e5f268f50ce422778031c618eff497badd7193c13beff2",
+    "ph":
+        "716b8f5acd2a805a6d1c19efbe9f23f31a6feff294efb9a198474e100060d8c1",
+    "ph1":
+        "2095663f451859e5aa3461c13295b9832af3fa1ca1a9106b3cfdc1aae19c732d",
+    "intermediate-lh":
+        "b7174d1180a00651ca1e74ff689377da747fbcd3c14824d10304ec3132e3328c",
+    "prop-lh":
+        "f6975485cf5edc35742b98e67f6bce37879b369a513f6ba955811d39ac534f1d",
+}
+
 ASSIGNMENT_LETTERS = {
     "lh":
         "ff68900a929bc93f6c8179c3ae6ebafd18a83b2f3608d21e8e5c5a09d12d9eb2",
@@ -79,6 +108,12 @@ LEMMA_SCHEDULE = {
 def test_builder_json_is_pinned(name):
     got = _digest([pres.to_json_dict() for pres in _presentations(name)])
     assert got == BUILDER_JSON[name]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_BUILDER_JSON))
+def test_builder_json_past_n4_is_pinned(name):
+    pres = [build_presentation(name, n, k) for n, k in LARGE_BUILDER_CASES[name]]
+    assert _digest([p.to_json_dict() for p in pres]) == LARGE_BUILDER_JSON[name]
 
 
 @pytest.mark.parametrize("name", sorted(ASSIGNMENT_LETTERS))

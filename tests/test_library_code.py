@@ -1,6 +1,7 @@
 """Library-wide source checks."""
 
 import ast
+import sys
 from pathlib import Path
 
 import hilden
@@ -15,6 +16,24 @@ def test_no_assert_in_library_code():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_library_imports_only_the_standard_library():
+    # hilden is stdlib-only: an absolute import must name a standard-library
+    # module or hilden itself (relative imports stay inside the package)
+    allowed = set(sys.stdlib_module_names) | {"hilden"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {top}" for top in tops if top not in allowed]
     assert not found, found
 
 

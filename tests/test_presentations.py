@@ -6,6 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import hilden.presentations as PRES
+import hilden.words as W
 from hilden.braids import braid_is_trivial, braid_word
 from hilden.perms import identity_perm, psi_of_braid_word
 from hilden.presentations import (
@@ -106,6 +107,27 @@ def test_presentation_json_round_trip():
     d = pres.to_json_dict()
     assert d["schema"] == 1
     assert presentation_from_json(json.loads(json.dumps(d))) == pres
+
+
+def test_builders_assemble_letters_without_parsing_text(monkeypatch):
+    # builders and the identity schedule make their words from signed letters;
+    # only JSON import reads the text form
+    calls = []
+
+    def counting(parse):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PRES, "parse_word", counting(PRES.parse_word))
+    monkeypatch.setattr(W, "parse_word", counting(W.parse_word))
+    built = [build_presentation(name, 3, 4 if name == "sh" else None)
+             for name in ("lh", "ph1", "ph", "vw", "intermediate-lh", "prop-lh", "sh")]
+    PRES._lemma_schedule(3)
+    assert calls == []
+    assert presentation_from_json(built[0].to_json_dict()) == built[0]
+    assert len(calls) == len(built[0].relators)
 
 
 # --- assignments -----------------------------------------------------------------------
