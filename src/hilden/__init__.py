@@ -19,7 +19,7 @@ from .braids import (BraidWord, GarsideNF, braid_identity, braid_is_trivial,
                      nf_multiply, nf_to_braid_word, normal_form, parse_braid_text,
                      perm_of_braid, sigma_alphabet)
 from .spheremcg import (ARTIN_CONVENTION, DEFAULT_BUDGET, BudgetExceededError,
-                        FreeAuto, artin_action, compose_autos, conjugation_auto,
+                        FreeAuto, artin_action, closes_at, compose_autos, conjugation_auto,
                         identity_auto, induced_perm_of_action, is_inner,
                         is_liftable_class, mcg_equal, sphere_trivial, x_alphabet)
 from .presentations import (Presentation, VerificationReport, VerifyRow,

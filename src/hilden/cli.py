@@ -216,6 +216,8 @@ def _read_words(args) -> list[str]:
 
 
 def _cmd_braid(args) -> int:
+    if args.mcg and args.mode != "eq":
+        raise ValueError("--mcg applies to braid eq only")
     if (args.strands is None) == (args.n is None):
         raise ValueError("give exactly one of --strands or --n")
     if args.n is not None and args.n < 1:
@@ -223,7 +225,7 @@ def _cmd_braid(args) -> int:
     strands = args.strands if args.strands is not None else 2 * args.n + 2
     if strands < 2:
         raise ValueError("need at least 2 strands")
-    if args.mode == "eq" and args.mcg and strands < 3:
+    if args.mcg and strands < 3:
         raise ValueError("sphere action needs at least 3 strands")
     words = _read_words(args)
     parsed = [B.parse_braid_text(w, strands=args.strands, n=args.n) for w in words]
@@ -236,18 +238,12 @@ def _cmd_braid(args) -> int:
             raise ValueError("braid eq needs exactly two words")
         a, b = parsed
         t0 = time.perf_counter_ns()
-        if B.braids_equal(a, b):
-            status, closes, equal = "ok", "braid", True
-        elif args.mcg:
-            try:
-                if M.mcg_equal(a, b, budget=args.budget):
-                    status, closes, equal = "ok", "sphere_mcg", True
-                else:
-                    status, closes, equal = "mismatch", None, False
-            except M.BudgetExceededError:
-                status, closes, equal = "UNRESOLVED", None, None
-        else:
-            status, closes, equal = "mismatch", None, False
+        try:
+            closes = M.closes_at(a * b.inverse(), "sphere_mcg" if args.mcg else "braid",
+                                 args.budget)
+            status, equal = ("ok", True) if closes else ("mismatch", False)
+        except M.BudgetExceededError:
+            status, closes, equal = "UNRESOLVED", None, None
         rows.append({"id": "eq", "tag": "braid-eq", "status": status,
                      "closes_at": closes,
                      "micros": (time.perf_counter_ns() - t0) // 1000,
@@ -283,8 +279,8 @@ def _cmd_subgroups(args) -> int:
 def _cmd_liftable(args) -> int:
     bw = B.parse_braid_text(args.word, n=args.n)
     t0 = time.perf_counter_ns()
-    result = M.is_liftable_class(bw)
     perm = P.psi_of_braid_word(bw.word, bw.strands)
+    result = P.is_liftable(perm)
     rows = [{"id": "liftable", "tag": "liftable", "status": "ok",
              "closes_at": None,
              "micros": (time.perf_counter_ns() - t0) // 1000,

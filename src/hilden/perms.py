@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import factorial
 from typing import Iterable, Sequence
 
 from .words import Word
@@ -171,7 +172,8 @@ def enumerate_subgroup(label: str, n: int) -> SubgroupTable:
     if n > ENUMERATION_MAX_N:
         raise ValueError(
             f"n={n} exceeds enumeration capacity (max n={ENUMERATION_MAX_N}: "
-            f"S_{2 * n + 2} has {2 * n + 2}! elements)"
+            f"W has 2((n+1)!)^2 elements, {2 * factorial(ENUMERATION_MAX_N + 2) ** 2:,} "
+            f"at n={ENUMERATION_MAX_N + 1})"
         )
     sym = list(permutations(range(n + 1)))
     blocks = range(n + 1)

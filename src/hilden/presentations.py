@@ -18,10 +18,11 @@ of signed generator letters (inversion is negate-and-reverse) and never spell
 or parse text; ``parse_word`` serves JSON import only.
 
 ``verify`` pushes every relator through a generator assignment into the braid
-group on 2n + 2 strands and reports where it closes: ``braid`` (Garside normal
-form trivial), ``sphere_mcg`` (trivial in the marked-sphere mapping class
-group), or ``permutation`` (for the finite quotient).  A relator that closes
-nowhere is ``FAILED``; an aborted sphere computation is ``UNRESOLVED``.
+group on 2n + 2 strands and reports where ``spheremcg.closes_at`` closes it:
+``braid`` (Garside normal form trivial), ``sphere_mcg`` (trivial in the
+marked-sphere mapping class group), or ``permutation`` (the finite quotient
+stops there).  A relator that closes nowhere is ``FAILED``; an aborted sphere
+computation is ``UNRESOLVED``.
 """
 
 from __future__ import annotations
@@ -545,8 +546,6 @@ def braid_assignment(pres: Presentation) -> dict[str, B.BraidWord]:
     """The dictionary assignment sending each presentation generator to its
     braid word on 2n + 2 strands.  Generator names are braid tokens (see
     ``braids.parse_braid_text``), except ``s``, the block rotation."""
-    if pres.name == "vw":
-        raise ValueError("vw verifies at the permutation level; use perm_assignment")
     n = pres.n
     return {g: B.build_generator("shift", n) if g == "s" else B.parse_braid_text(g, n=n)
             for g in pres.generators}
@@ -603,25 +602,14 @@ class VerificationReport:
         return out
 
 
-def _check_one_braid_image(m: int, letters: list[int], budget: int) -> tuple[str, str | None]:
-    """Status and closing level for one braid-group image of a relator."""
-    if not P.psi_of_braid_word(letters, m).is_identity():
-        return "FAILED", None
-    bw = B.braid_word(m, letters)
-    if B.exponent_sum(bw) == 0 and B.braid_is_trivial(bw):
-        return "ok", "braid"
-    try:
-        if M.sphere_trivial(bw, budget=budget):
-            return "ok", "sphere_mcg"
-        return "FAILED", None
-    except M.BudgetExceededError:
-        return "UNRESOLVED", None
-
-
 def _worker_verify(args) -> tuple[str, str, str, str | None, int]:
-    m, rid, tag, letters, budget = args
+    m, rid, tag, letters, target, budget = args
     t0 = time.perf_counter_ns()
-    status, closes = _check_one_braid_image(m, letters, budget)
+    try:
+        closes = M.closes_at(B.braid_word(m, letters), target, budget)
+        status = "FAILED" if closes is None else "ok"
+    except M.BudgetExceededError:
+        status, closes = "UNRESOLVED", None
     return rid, tag, status, closes, (time.perf_counter_ns() - t0) // 1000
 
 
@@ -631,9 +619,9 @@ def _worker_verify(args) -> tuple[str, str, str, str | None, int]:
 _POOL_MIN_ROWS = 100
 
 
-def _verify_rows(m: int, items: list[tuple[str, str, list[int]]],
+def _verify_rows(m: int, items: list[tuple[str, str, list[int]]], target: str,
                  budget: int, jobs: int) -> list[VerifyRow]:
-    args = [(m, rid, tag, letters, budget) for rid, tag, letters in items]
+    args = [(m, rid, tag, letters, target, budget) for rid, tag, letters in items]
     if jobs <= 1 or len(items) < _POOL_MIN_ROWS:
         return [VerifyRow(*_worker_verify(a)) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -649,37 +637,27 @@ def default_jobs() -> int:
 def verify(pres: Presentation, jobs: int = 1, budget: int = M.DEFAULT_BUDGET) -> VerificationReport:
     """Verify every relator of a presentation under its generator assignment.
 
-    Braid-group presentations report per relator whether it closes at the
-    braid or sphere level; the finite quotient closes at the permutation
-    level and gets an extra row checking the order of the generated image.
+    Each relator's braid image closes up to the sphere level, or serially up
+    to the permutation level for the finite quotient, which gets an extra row
+    checking the order of the generated image.
     """
     params: dict = {"n": pres.n, "artin_convention": M.ARTIN_CONVENTION}
     if pres.k is not None:
         params["k"] = pres.k
-    if pres.name == "vw":
-        assign = perm_assignment(pres)
-        rows = []
-        for rid, tag, rel in zip(pres.ids, pres.tags, pres.relators):
-            t0 = time.perf_counter_ns()
-            acc = P.identity_perm(2 * pres.n + 2)
-            for c in rel.letters:
-                g = assign[rel.alphabet.name(c)]
-                acc = P.compose(acc, g if c > 0 else P.inverse(g))
-            status = "ok" if acc.is_identity() else "FAILED"
-            rows.append(VerifyRow(rid, tag, status, "permutation" if status == "ok" else None,
-                                  (time.perf_counter_ns() - t0) // 1000))
+    assign = braid_assignment(pres)
+    items = [(rid, tag, image_letters(rel, assign))
+             for rid, tag, rel in zip(pres.ids, pres.tags, pres.relators)]
+    vw = pres.name == "vw"
+    rows = _verify_rows(2 * pres.n + 2, items, "permutation" if vw else "sphere_mcg",
+                        budget, 1 if vw else jobs)
+    if vw:
         t0 = time.perf_counter_ns()
-        order = len(P.generated_subgroup(assign.values()))
+        order = len(P.generated_subgroup(perm_assignment(pres).values()))
         want = 2 * math.factorial(pres.n + 1)
         rows.append(VerifyRow("(order)", "(order)", "ok" if order == want else "FAILED",
                               "permutation" if order == want else None,
                               (time.perf_counter_ns() - t0) // 1000))
-        return VerificationReport(pres.name, params, tuple(rows))
-    assign = braid_assignment(pres)
-    m = 2 * pres.n + 2
-    items = [(rid, tag, image_letters(rel, assign))
-             for rid, tag, rel in zip(pres.ids, pres.tags, pres.relators)]
-    return VerificationReport(pres.name, params, tuple(_verify_rows(m, items, budget, jobs)))
+    return VerificationReport(pres.name, params, tuple(rows))
 
 
 # --- braid-level identity schedule (conjugation ladders etc.) -----------------------
@@ -770,6 +748,6 @@ def verify_lemma_identities(n: int, jobs: int = 1,
     _check_n(n)
     if n > 3:
         raise ValueError("identity suite is sized for n <= 3")
-    rows = _verify_rows(2 * n + 2, _lemma_schedule(n), budget, jobs)
+    rows = _verify_rows(2 * n + 2, _lemma_schedule(n), "sphere_mcg", budget, jobs)
     return VerificationReport("lemmas", {"n": n, "artin_convention": M.ARTIN_CONVENTION},
                               tuple(rows))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braids import BraidWord
+from .braids import BraidWord, braid_is_trivial, exponent_sum
 from .perms import is_liftable, perm_from_images, psi_of_braid_word
 from .words import Alphabet, Word, cyclically_reduce
 
@@ -202,6 +202,29 @@ def mcg_equal(a: BraidWord, b: BraidWord, budget: int = DEFAULT_BUDGET) -> bool:
 
 def sphere_trivial(b: BraidWord, budget: int = DEFAULT_BUDGET) -> bool:
     return is_inner(artin_action(b, budget=budget)) is not None
+
+
+_LEVELS = ("permutation", "braid", "sphere_mcg")
+
+
+def closes_at(b: BraidWord, target: str, budget: int) -> str | None:
+    """Where a braid word closes on the ladder ``permutation < braid <
+    sphere_mcg``, checked up to ``target``; None when nothing up to it does.
+    Ψ is an invariant at every level: a nontrivial one gives None, a trivial
+    one closes at ``permutation`` as the target.  Past it the word closes at
+    ``braid`` (exponent sum 0, trivial normal form), then at ``sphere_mcg``
+    (inner sphere action; may raise :class:`BudgetExceededError`)."""
+    if target not in _LEVELS:
+        raise ValueError(f"unknown level {target!r}; choose from {_LEVELS}")
+    if not psi_of_braid_word(b.letters, b.strands).is_identity():
+        return None
+    if target == "permutation":
+        return "permutation"
+    if exponent_sum(b) == 0 and braid_is_trivial(b):
+        return "braid"
+    if target == "braid":
+        return None
+    return "sphere_mcg" if sphere_trivial(b, budget) else None
 
 
 def is_liftable_class(b: BraidWord) -> bool:

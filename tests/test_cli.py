@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import hilden.spheremcg as M
 from hilden.cli import main
 
 
@@ -135,6 +136,31 @@ def test_braid_eq_mcg_needs_three_strands_whatever_the_words():
         assert err == "hilden braid: error: sphere action needs at least 3 strands\n"
 
 
+def test_braid_eq_mcg_skips_the_sphere_action_when_permutations_differ(monkeypatch):
+    def no_action(*args, **kwargs):
+        raise AssertionError("the sphere action ran")
+
+    monkeypatch.setattr(M, "artin_action", no_action)
+    code, d, _ = run_json(["braid", "eq", "--mcg", "--strands", "4", "g1 g2", "g2 g1"])
+    assert code == 1 and d["rows"][0]["status"] == "mismatch"
+
+
+def test_braid_eq_mcg_permutation_mismatch_needs_no_budget():
+    # the sphere action of this pair passes a budget of 2, but the
+    # permutations already differ
+    code, d, _ = run_json(["braid", "eq", "--mcg", "--strands", "4", "g1 g2 g3", "g3",
+                           "--budget", "2"])
+    row = d["rows"][0]
+    assert code == 1
+    assert (row["status"], row["closes_at"], row["equal"]) == ("mismatch", None, False)
+
+
+def test_braid_nf_rejects_mcg():
+    code, out, err = run(["braid", "nf", "--mcg", "--strands", "4", "g1 g2"])
+    assert (code, out) == (2, "")
+    assert err == "hilden braid: error: --mcg applies to braid eq only\n"
+
+
 def test_braid_eq_accepts_options_before_words():
     # the conjugation identity r1 rho s1 = rho s1 r1^-1 closes at braid level
     code, d, _ = run_json(["braid", "eq", "--n", "1", "r1 rho s1", "rho s1 R1"])
@@ -249,6 +275,8 @@ def test_subgroups_element_dump():
 def test_subgroups_capacity_error():
     code, _, err = run(["subgroups", "--n", "5"])
     assert code == 2
+    assert err == ("hilden subgroups: error: n=5 exceeds enumeration capacity (max n=4: "
+                   "W has 2((n+1)!)^2 elements, 1,036,800 at n=5)\n")
 
 
 # --- liftable -----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Library-wide source checks."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,16 @@ def test_library_imports_only_the_standard_library():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {top}" for top in tops if top not in allowed]
+    assert not found, found
+
+
+def test_only_the_ladder_calls_the_word_problem_oracles():
+    # cli and presentations decide triviality through spheremcg.closes_at, so
+    # the order of the permutation / braid / sphere checks lives in one place
+    oracles = re.compile(r"\b(braids_equal|braid_is_trivial|mcg_equal|sphere_trivial)\b")
+    found = [f"{fname}:{i} {m.group()}" for fname in ("cli.py", "presentations.py")
+             for i, line in enumerate((SRC / fname).read_text().splitlines(), start=1)
+             for m in oracles.finditer(line)]
     assert not found, found
 
 

@@ -212,6 +212,27 @@ def test_vw_verifies_at_the_permutation_level_with_order_row():
         assert len(order_rows) == 1 and order_rows[0].status == "ok"
 
 
+def test_vw_wrong_relator_fails_its_row_through_the_shared_ladder(monkeypatch):
+    pres = build_VW(2)
+    i = pres.tags.index("(invol-r)")  # rho rho becomes rho alone
+    rho = W.parse_word(pres.alphabet, "rho")
+    wrong = Presentation(pres.name, pres.n, pres.k, pres.generators,
+                         pres.relators[:i] + (rho,) + pres.relators[i + 1:], pres.tags, pres.ids)
+    targets = []
+    ladder = PRES.M.closes_at
+
+    def spy(b, target, budget):
+        targets.append(target)
+        return ladder(b, target, budget)
+
+    monkeypatch.setattr(PRES.M, "closes_at", spy)
+    rep = verify(wrong)
+    assert targets == ["permutation"] * len(pres.relators)
+    want = {rid: ("ok", "permutation") for rid in pres.ids + ("(order)",)}
+    want[pres.ids[i]] = ("FAILED", None)
+    assert {r.id: (r.status, r.closes_at) for r in rep.rows} == want
+
+
 def test_parallel_verification_matches_serial(monkeypatch):
     pres = build_LH(5)
     assert len(pres.relators) >= PRES._POOL_MIN_ROWS

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hilden.spheremcg as M
-from hilden.braids import braid_word, build_generator, delta, full_twist, parse_braid_text
+from hilden.braids import (braid_is_trivial, braid_word, build_generator, delta, full_twist,
+                           parse_braid_text)
 from hilden.perms import psi_of_braid_word
 from hilden.spheremcg import (
     ARTIN_CONVENTION,
@@ -14,6 +17,7 @@ from hilden.spheremcg import (
     FreeAuto,
     artin_action,
     class_of_puncture,
+    closes_at,
     compose_autos,
     conjugation_auto,
     identity_auto,
@@ -225,6 +229,57 @@ def test_mcg_equal_quotients_by_center_and_sphere_relator():
 def test_delta_squared_equals_full_twist():
     for m in (3, 4, 5):
         assert mcg_equal(delta(m) * delta(m), full_twist(m))
+
+
+# --- the closing-level ladder ---------------------------------------------------------
+
+
+@st.composite
+def _ladder_case(draw):
+    m = draw(st.integers(3, 6))
+    letter = st.integers(1, m - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return (m, draw(st.lists(letter, max_size=5)), draw(st.lists(letter, max_size=10)),
+            draw(st.integers(1, m - 2)), draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ladder_case())
+def test_closes_at_agrees_with_the_public_oracles(case):
+    m, u, v, i, e = case
+    uw = braid_word(m, u)
+    z = braid_word(m, list(range(1, m)) + list(range(m - 1, 0, -1)))  # the loop of point 1
+    # (word, the level it must close at up to sphere_mcg); None expects no
+    # level, and v, a random word, only has to agree with the oracles
+    cases = [
+        (uw * braid_word(m, [i, i + 1, i, -i - 1, -i, -i - 1]) * uw.inverse(), "braid"),
+        (uw * z ** e * uw.inverse(), "sphere_mcg"),  # a conjugated sphere relator
+        (uw * full_twist(m) ** e * uw.inverse(), "sphere_mcg"),
+        (uw * braid_word(m, [i]) * uw.inverse(), None),  # a transposition
+        (braid_word(m, v), "any"),
+    ]
+    for b, want in cases:
+        perm_trivial = psi_of_braid_word(b.letters, m).is_identity()
+        assert closes_at(b, "permutation", DEFAULT_BUDGET) == (
+            "permutation" if perm_trivial else None)
+        at_braid = closes_at(b, "braid", DEFAULT_BUDGET)
+        assert at_braid in ("braid", None)
+        assert (at_braid == "braid") == braid_is_trivial(b)
+        at_sphere = closes_at(b, "sphere_mcg", DEFAULT_BUDGET)
+        assert (at_sphere is not None) == sphere_trivial(b)
+        assert at_sphere == "braid" if at_braid else at_sphere in ("sphere_mcg", None)
+        if not perm_trivial:
+            assert at_braid is at_sphere is None
+        if want != "any":
+            assert at_sphere == want
+
+
+def test_closes_at_spends_the_budget_only_at_the_sphere_level():
+    b = braid_word(4, [1, -2] * 81)  # a pure braid whose sphere image grows fast
+    assert closes_at(b, "braid", 50) is None
+    with pytest.raises(BudgetExceededError):
+        closes_at(b, "sphere_mcg", 50)
+    with pytest.raises(ValueError):
+        closes_at(b, "disk", 50)
 
 
 # --- liftability of a class -----------------------------------------------------------
