@@ -10,7 +10,9 @@ Two words are equal in the braid group iff their normal forms coincide.
 braid into one factor, then appends the factors one at a time to a
 left-weighted list, sliding each backward until the first pair that is
 already left-weighted.  ``_slide`` left-weights one pair in a single forward
-scan that steps back once after each swap.
+scan that steps back once after each swap.  ``braid_is_trivial`` splits the
+word into runs of consecutive generator indices and needs a trivial normal
+form of each run's subword on its own strands only.
 
 Also here: the generator dictionary expanding the named elements of the
 two-string-per-block setup (m = 2n + 2) into explicit band-generator words:
@@ -258,8 +260,24 @@ def nf_inverse(a: GarsideNF) -> GarsideNF:
 
 
 def braid_is_trivial(b: BraidWord) -> bool:
-    nf = normal_form(b)
-    return nf.power == 0 and not nf.factors
+    """Triviality decided one run of consecutive generator indices at a time.
+
+    Runs that are not adjacent commute, so the subgroup the word's letters
+    generate is the direct product of the runs' braid groups, each embedded
+    in B_m (van der Lek 1983; Paris 1997).  The braid is trivial exactly when
+    the subword of every run lo..hi, shifted onto hi - lo + 2 strands, has a
+    trivial normal form.
+    """
+    used = {abs(c) for c in b.letters}
+    for lo in sorted(i for i in used if i - 1 not in used):
+        hi = lo
+        while hi + 1 in used:
+            hi += 1
+        sub = [c - lo + 1 if c > 0 else c + lo - 1 for c in b.letters if lo <= abs(c) <= hi]
+        nf = normal_form(braid_word(hi - lo + 2, sub))
+        if nf.power or nf.factors:
+            return False
+    return True
 
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:

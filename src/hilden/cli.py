@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--jobs", type=int, default=PRES.default_jobs(),
-                       help="relator-level parallelism (where applicable)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; verification is serial")
         p.add_argument("--budget", type=int, default=M.DEFAULT_BUDGET,
                        help="sphere-oracle letter cap (where applicable)")
         p.add_argument("--format", choices=("json", "text", "csv"), default="text")
@@ -160,10 +160,10 @@ def _cmd_verify(args) -> int:
     if args.group == "lemmas":
         if args.k is not None:
             raise ValueError("presentation 'lemmas' takes no k")
-        rep = PRES.verify_lemma_identities(args.n, jobs=args.jobs, budget=args.budget)
+        rep = PRES.verify_lemma_identities(args.n, budget=args.budget)
     else:
         pres = PRES.build_presentation(args.group, args.n, args.k)
-        rep = PRES.verify(pres, jobs=args.jobs, budget=args.budget)
+        rep = PRES.verify(pres, budget=args.budget)
     params = {"group": args.group, **rep.params}
     rows = [r.to_json_dict() for r in rep.rows]
     return _emit(_report("verify", params, rows), args)

@@ -17,20 +17,19 @@ a family tag like ``(2)(d)`` and a unique id.  Builders assemble them as lists
 of signed generator letters (inversion is negate-and-reverse) and never spell
 or parse text; ``parse_word`` serves JSON import only.
 
-``verify`` pushes every relator through a generator assignment into the braid
-group on 2n + 2 strands and reports where ``spheremcg.closes_at`` closes it:
-``braid`` (Garside normal form trivial), ``sphere_mcg`` (trivial in the
-marked-sphere mapping class group), or ``permutation`` (the finite quotient
-stops there).  A relator that closes nowhere is ``FAILED``; an aborted sphere
-computation is ``UNRESOLVED``.
+``verify`` pushes every relator, one after another, through a generator
+assignment into the braid group on 2n + 2 strands and reports where
+``spheremcg.closes_at`` closes it: ``braid`` (a trivial Garside normal form of
+the subword of each run of consecutive generator indices), ``sphere_mcg``
+(trivial in the marked-sphere mapping class group), or ``permutation`` (the
+finite quotient stops there).  A relator that closes nowhere is ``FAILED``;
+an aborted sphere computation is ``UNRESOLVED``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -602,44 +601,27 @@ class VerificationReport:
         return out
 
 
-def _worker_verify(args) -> tuple[str, str, str, str | None, int]:
-    m, rid, tag, letters, target, budget = args
-    t0 = time.perf_counter_ns()
-    try:
-        closes = M.closes_at(B.braid_word(m, letters), target, budget)
-        status = "FAILED" if closes is None else "ok"
-    except M.BudgetExceededError:
-        status, closes = "UNRESOLVED", None
-    return rid, tag, status, closes, (time.perf_counter_ns() - t0) // 1000
-
-
-# Below about this many relators the process pool's start-up costs more than
-# it saves: `verify` of lh n=4 (93 relators) took 19 ms serially and 30 ms at
-# jobs=2, sh n=5 k=5 (142 relators) 61 ms and 47 ms (2-vCPU VM, min of 3).
-_POOL_MIN_ROWS = 100
-
-
 def _verify_rows(m: int, items: list[tuple[str, str, list[int]]], target: str,
-                 budget: int, jobs: int) -> list[VerifyRow]:
-    args = [(m, rid, tag, letters, target, budget) for rid, tag, letters in items]
-    if jobs <= 1 or len(items) < _POOL_MIN_ROWS:
-        return [VerifyRow(*_worker_verify(a)) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        results = ex.map(_worker_verify, args,
-                         chunksize=max(1, len(items) // (4 * jobs)))
-        return [VerifyRow(*r) for r in results]
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1
+                 budget: int) -> list[VerifyRow]:
+    rows = []
+    for rid, tag, letters in items:
+        t0 = time.perf_counter_ns()
+        try:
+            closes = M.closes_at(B.braid_word(m, letters), target, budget)
+            status = "FAILED" if closes is None else "ok"
+        except M.BudgetExceededError:
+            status, closes = "UNRESOLVED", None
+        rows.append(VerifyRow(rid, tag, status, closes, (time.perf_counter_ns() - t0) // 1000))
+    return rows
 
 
 def verify(pres: Presentation, jobs: int = 1, budget: int = M.DEFAULT_BUDGET) -> VerificationReport:
     """Verify every relator of a presentation under its generator assignment.
 
-    Each relator's braid image closes up to the sphere level, or serially up
-    to the permutation level for the finite quotient, which gets an extra row
-    checking the order of the generated image.
+    Each relator's braid image closes up to the sphere level, or up to the
+    permutation level for the finite quotient, which gets an extra row
+    checking the order of the generated image.  ``jobs`` is accepted for
+    compatibility and has no effect: verification is serial.
     """
     params: dict = {"n": pres.n, "artin_convention": M.ARTIN_CONVENTION}
     if pres.k is not None:
@@ -648,8 +630,7 @@ def verify(pres: Presentation, jobs: int = 1, budget: int = M.DEFAULT_BUDGET) ->
     items = [(rid, tag, image_letters(rel, assign))
              for rid, tag, rel in zip(pres.ids, pres.tags, pres.relators)]
     vw = pres.name == "vw"
-    rows = _verify_rows(2 * pres.n + 2, items, "permutation" if vw else "sphere_mcg",
-                        budget, 1 if vw else jobs)
+    rows = _verify_rows(2 * pres.n + 2, items, "permutation" if vw else "sphere_mcg", budget)
     if vw:
         t0 = time.perf_counter_ns()
         order = len(P.generated_subgroup(perm_assignment(pres).values()))
@@ -744,10 +725,10 @@ def verify_lemma_identities(n: int, jobs: int = 1,
     """Verify the worked braid identities behind the presentations: the
     builders' relator families (dictionary, commutation schedules, shift and
     rho conjugation), ladders, slides, hoists, the loop and full-twist words.
-    Supported for n <= 3."""
+    Supported for n <= 3.  ``jobs`` has no effect, as in :func:`verify`."""
     _check_n(n)
     if n > 3:
         raise ValueError("identity suite is sized for n <= 3")
-    rows = _verify_rows(2 * n + 2, _lemma_schedule(n), "sphere_mcg", budget, jobs)
+    rows = _verify_rows(2 * n + 2, _lemma_schedule(n), "sphere_mcg", budget)
     return VerificationReport("lemmas", {"n": n, "artin_convention": M.ARTIN_CONVENTION},
                               tuple(rows))

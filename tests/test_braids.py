@@ -27,7 +27,8 @@ from hilden.braids import (
     sigma_alphabet,
 )
 from hilden.perms import identity_perm, psi_of_braid_word
-from hilden.presentations import braid_assignment, build_PH, image_letters
+from hilden.presentations import (Presentation, braid_assignment, build_LH, build_PH,
+                                  image_letters, verify)
 
 
 # --- construction --------------------------------------------------------------
@@ -525,3 +526,101 @@ def test_braids_equal_agrees_with_the_free_group_action():
         outcomes[equal] += 1
         same_sum_unequal += not equal and exponent_sum(a) == exponent_sum(b)
     assert outcomes[True] > 50 and outcomes[False] > 50 and same_sum_unequal > 50
+
+
+# --- triviality one run of consecutive generator indices at a time --------------------
+
+
+def _inverse(ls):
+    return [-c for c in reversed(ls)]
+
+
+@st.composite
+def block_words(draw):
+    """(m, letters): a word confined to 2-3 runs of consecutive generator
+    indices, with at least one unused index between runs.  It is a cross-run
+    commutator, a braid relation conjugated inside one run, or their product;
+    perturbed, the commutator of two neighbouring generators of one run goes
+    in somewhere, which leaves the word trivial only in a one-index run."""
+    runs, lo = [], draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(2, 3))):
+        hi = lo + draw(st.integers(0, 2))
+        runs.append(list(range(lo, hi + 1)))
+        lo = hi + draw(st.integers(2, 3))
+    m = runs[-1][-1] + draw(st.integers(1, 2))
+
+    def letters_of(indices, max_size):
+        signed = st.tuples(st.sampled_from(indices), st.sampled_from([1, -1]))
+        return [i * e for i, e in draw(st.lists(signed, max_size=max_size))]
+
+    a, b = draw(st.permutations(runs))[:2]
+    u, v = letters_of(a, 4), letters_of(b, 4)
+    commutator = u + v + _inverse(u) + _inverse(v)
+    run = draw(st.sampled_from(runs))
+    i = draw(st.sampled_from(run[:-1] or run))
+    relation = [i, i + 1, i, -(i + 1), -i, -(i + 1)] if i + 1 in run else [i, -i]
+    w = letters_of(sum(runs, []), 6)
+    conjugated = w + relation + _inverse(w)
+    word = draw(st.sampled_from([commutator, conjugated, commutator + conjugated]))
+    if draw(st.booleans()):
+        run = draw(st.sampled_from(runs))
+        i = draw(st.sampled_from(run[:-1] or run))
+        j = i + 1 if i + 1 in run else i
+        p = draw(st.integers(0, len(word)))
+        word = word[:p] + [i, j, -i, -j] + word[p:]
+    return m, word
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_words())
+def test_block_triviality_agrees_with_the_full_normal_form_and_the_disk_action(case):
+    m, ls = case
+    b = braid_word(m, ls)
+    nf = normal_form(b)
+    full = nf.power == 0 and not nf.factors
+    disk = _artin_images(m, b.letters) == [(j,) for j in range(1, m + 1)]
+    assert braid_is_trivial(b) == full == disk
+
+
+def _normal_form_strands(monkeypatch):
+    """Strand counts of the `normal_form` calls made after this is called."""
+    seen = []
+    nf = braids.normal_form
+
+    def recording(b):
+        seen.append(b.strands)
+        return nf(b)
+
+    monkeypatch.setattr(braids, "normal_form", recording)
+    return seen
+
+
+def test_block_triviality_edge_cases(monkeypatch):
+    seen = _normal_form_strands(monkeypatch)
+    assert braid_is_trivial(braid_word(5, []))
+    assert seen == []
+    # one run covering every generator keeps all m strands
+    assert braid_is_trivial(braid_word(4, [3, 1, 2, 1, -2, -1, -2, -3]))
+    assert not braid_is_trivial(full_twist(4))
+    assert seen == [4, 4]
+    # indices i and i + 1 form one run; split apart, [g2, g3] would cancel
+    seen.clear()
+    assert not braid_is_trivial(braid_word(6, [2, 3, -2, -3]))
+    assert seen == [3]
+    seen.clear()
+    assert braid_is_trivial(braid_word(6, [2, 4, -2, -4]))
+    assert seen == [2, 2]
+
+
+def test_far_commutation_rows_need_only_small_normal_forms(monkeypatch):
+    # (1)(a)-(1)(c) commute generators on disjoint strands of 18: each run's
+    # subword freely cancels, and no normal form spans more than one block swap
+    pres = build_LH(8)
+    rows = [(w, tag, rid) for w, tag, rid in zip(pres.relators, pres.tags, pres.ids)
+            if tag in ("(1)(a)", "(1)(b)", "(1)(c)")]
+    far = Presentation(pres.name, pres.n, pres.k, pres.generators,
+                       *map(tuple, zip(*rows)))
+    seen = _normal_form_strands(monkeypatch)
+    rep = verify(far)
+    assert len(rep.rows) == 232 and rep.counts() == {"braid": 232}
+    assert seen and max(seen) <= 4

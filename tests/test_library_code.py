@@ -20,21 +20,32 @@ def test_no_assert_in_library_code():
     assert not found, found
 
 
-def test_library_imports_only_the_standard_library():
-    # hilden is stdlib-only: an absolute import must name a standard-library
-    # module or hilden itself (relative imports stay inside the package)
-    allowed = set(sys.stdlib_module_names) | {"hilden"}
-    found = []
+def _absolute_imports():
+    """(file name, line, dotted module) of every absolute import in the
+    package; relative imports stay inside it."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                tops = [alias.name.split(".")[0] for alias in node.names]
+                yield from ((path.name, node.lineno, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                tops = [node.module.split(".")[0]]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno} {top}" for top in tops if top not in allowed]
+                yield path.name, node.lineno, node.module
+
+
+def test_library_imports_only_the_standard_library():
+    # hilden is stdlib-only: an absolute import must name a standard-library
+    # module or hilden itself
+    allowed = set(sys.stdlib_module_names) | {"hilden"}
+    found = [f"{fname}:{line} {mod}" for fname, line, mod in _absolute_imports()
+             if mod.split(".")[0] not in allowed]
+    assert not found, found
+
+
+def test_library_starts_no_worker_processes():
+    # verification is one serial loop; a process pool paid on some commands
+    # and cost on others, and no row count told which
+    found = [f"{fname}:{line} {mod}" for fname, line, mod in _absolute_imports()
+             if mod.split(".")[0] in ("concurrent", "multiprocessing")]
     assert not found, found
 
 
