@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .perms import Perm, psi_of_braid_word
-from .words import Alphabet, Word, reduce as word_reduce
+from .words import Alphabet, Word, _inv, reduce as word_reduce
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +313,7 @@ def nf_to_braid_word(nf: GarsideNF) -> BraidWord:
     if nf.power >= 0:
         letters += list(delta) * nf.power
     else:
-        letters += [-c for c in reversed(delta)] * (-nf.power)
+        letters += _inv(delta) * (-nf.power)
     for f in nf.factors:
         letters += _perm_positive_word(f.images)
     return braid_word(m, letters)
@@ -337,26 +337,22 @@ def _rho_letters(n: int) -> tuple[int, ...]:
     return tuple(range(1, 2 * n + 2, 2))
 
 
-def _inv_letters(ls) -> tuple[int, ...]:
-    return tuple(-c for c in reversed(ls))
-
-
 def _alpha_letters(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
     if not 1 <= i < j <= n + 1:
         raise ValueError(f"need 1 <= i < j <= n+1, got ({i}, {j})")
     if j == i + 1:
-        s, r = _s_letters(i), _r_letters(i)
+        s, ri = _s_letters(i), tuple(_inv(_r_letters(i)))
         if kind == "p":
             return s + s
         if kind == "x":
-            return s + _inv_letters(r)
+            return s + ri
         if kind == "y":
-            return _inv_letters(r) + s
+            return ri + s
         raise ValueError(f"unknown pair kind {kind!r}")
     pre: tuple[int, ...] = ()
     for k in range(j - 1, i, -1):
         pre += _s_letters(k)
-    return pre + _alpha_letters(kind, i, i + 1, n) + _inv_letters(pre)
+    return pre + _alpha_letters(kind, i, i + 1, n) + tuple(_inv(pre))
 
 
 def _shift_letters(n: int) -> tuple[int, ...]:

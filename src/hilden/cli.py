@@ -279,7 +279,7 @@ def _cmd_subgroups(args) -> int:
 def _cmd_liftable(args) -> int:
     bw = B.parse_braid_text(args.word, n=args.n)
     t0 = time.perf_counter_ns()
-    perm = P.psi_of_braid_word(bw.word, bw.strands)
+    perm = B.perm_of_braid(bw)
     result = P.is_liftable(perm)
     rows = [{"id": "liftable", "tag": "liftable", "status": "ok",
              "closes_at": None,

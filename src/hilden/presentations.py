@@ -36,24 +36,20 @@ from typing import Callable, Sequence
 from . import braids as B
 from . import perms as P
 from . import spheremcg as M
-from .words import Alphabet, Word, parse_word, reduce
+from .words import Alphabet, Word, _inv, parse_word, reduce
 
 # --- letter helpers: +k is generator k of the emitter's alphabet, -k its inverse
 
-def _iv(xs: Sequence[int]) -> list[int]:
-    return [-x for x in reversed(xs)]
-
-
 def _pw(xs: Sequence[int], e: int) -> list[int]:
-    return list(xs) if e == 1 else _iv(xs)
+    return list(xs) if e == 1 else _inv(xs)
 
 
 def _comm(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    return list(a) + list(b) + _iv(a) + _iv(b)
+    return list(a) + list(b) + _inv(a) + _inv(b)
 
 
 def _eq(lhs: Sequence[int], rhs: Sequence[int]) -> list[int]:
-    return list(lhs) + _iv(rhs)
+    return list(lhs) + _inv(rhs)
 
 
 # Triple-commutation schedule: with strictly increasing indices a < b < c the
@@ -224,7 +220,7 @@ def _emit_lh_12(e: _Emitter, n: int) -> None:
               _eq(e.r(i) + e.r(i + 1) + e.s(i), e.s(i + 1) + e.r(i) + e.r(i + 1)))
     for i in range(1, n + 1):
         e.add("(2)(d)", f"[i={i}]",
-              _eq(e.r(i) + e.rho + e.s(i), e.rho + e.s(i) + _iv(e.r(i))))
+              _eq(e.r(i) + e.rho + e.s(i), e.rho + e.s(i) + _inv(e.r(i))))
         for ex in (1, -1):
             se = _pw(e.s(i), ex)
             e.add("(2)(e)", f"[i={i},e={ex}]", _eq(se + e.t(i), e.t(i + 1) + se))
@@ -258,8 +254,8 @@ def _emit_rho_pairs(e: _Emitter, n: int, p_tag: str, xy_tag: str) -> None:
             e.add(p_tag, f"[{i},{j}]", _comm(e.rho, e.pair("p", i, j)))
             for al in "xy":
                 e.add(xy_tag, f"[{al},{i},{j}]",
-                      _eq(e.rho + e.pair(al, i, j) + _iv(e.rho),
-                          _iv(e.pair(al, i, j)) + e.pair("p", i, j)))
+                      _eq(e.rho + e.pair(al, i, j) + _inv(e.rho),
+                          _inv(e.pair(al, i, j)) + e.pair("p", i, j)))
 
 
 def _zeta_tokens(e: _Emitter, n: int) -> list[int]:
@@ -307,7 +303,7 @@ def _emit_pure_families(e: _Emitter, n: int) -> None:
                                   _comm(e.pair(a, i, j), e.pair(b, k, l)))
                             e.add("(C3)", f"[{a}{i}.{k},{b}{j}.{l}]",
                                   _comm(e.pair(a, i, k),
-                                        e.pair("p", j, k) + e.pair(b, j, l) + _iv(e.pair("p", j, k))))
+                                        e.pair("p", j, k) + e.pair(b, j, l) + _inv(e.pair("p", j, k))))
     for a_ in range(1, N + 1):
         for b_ in range(a_ + 1, N + 1):
             for c_ in range(b_ + 1, N + 1):
@@ -330,7 +326,7 @@ def _z_relator_tokens(e: _Emitter, n: int) -> list[int]:
     N = n + 1
     letters: list[int] = []
     for j in range(N, 1, -1):
-        letters += _iv(e.pair("x", 1, j))
+        letters += _inv(e.pair("x", 1, j))
     for j in range(2, N + 1):
         letters += e.pair("p", 1, j)
     letters += e.t(1)
@@ -425,14 +421,14 @@ def build_intermediate_LH(n: int) -> Presentation:
                 rhs = e.t(k)
             else:
                 rhs = e.t(i)
-            e.add("(A1)(a)", f"[k={k},i={i}]", _eq(e.s(k) + e.t(i) + _iv(e.s(k)), rhs))
+            e.add("(A1)(a)", f"[k={k},i={i}]", _eq(e.s(k) + e.t(i) + _inv(e.s(k)), rhs))
     for i in range(1, n + 1):
         p_ = e.pair("p", i, i + 1)
-        e.add("(A1)(b)", f"[p,{i}]", _eq(e.s(i) + p_ + _iv(e.s(i)), p_))
+        e.add("(A1)(b)", f"[p,{i}]", _eq(e.s(i) + p_ + _inv(e.s(i)), p_))
         e.add("(A1)(b)", f"[x,{i}]",
-              _eq(e.s(i) + e.pair("x", i, i + 1) + _iv(e.s(i)), p_ + e.pair("y", i, i + 1) + _iv(p_)))
+              _eq(e.s(i) + e.pair("x", i, i + 1) + _inv(e.s(i)), p_ + e.pair("y", i, i + 1) + _inv(p_)))
         e.add("(A1)(b)", f"[y,{i}]",
-              _eq(e.s(i) + e.pair("y", i, i + 1) + _iv(e.s(i)), e.pair("x", i, i + 1)))
+              _eq(e.s(i) + e.pair("y", i, i + 1) + _inv(e.s(i)), e.pair("x", i, i + 1)))
     for al in "pxy":
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
@@ -440,17 +436,17 @@ def build_intermediate_LH(n: int) -> Presentation:
                     if k == i and j == i + 1:
                         continue  # covered by (A1)(b)
                     if k == i - 1:
-                        rhs = e.pair("p", i - 1, i) + e.pair(al, i - 1, j) + _iv(e.pair("p", i - 1, i))
+                        rhs = e.pair("p", i - 1, i) + e.pair(al, i - 1, j) + _inv(e.pair("p", i - 1, i))
                     elif k == i and j - i >= 2:
                         rhs = e.pair(al, i + 1, j)
                     elif k == j - 1 and j - i >= 2:
-                        rhs = e.pair("p", j - 1, j) + e.pair(al, i, j - 1) + _iv(e.pair("p", j - 1, j))
+                        rhs = e.pair("p", j - 1, j) + e.pair(al, i, j - 1) + _inv(e.pair("p", j - 1, j))
                     elif k == j:
                         rhs = e.pair(al, i, j + 1)
                     else:
                         rhs = e.pair(al, i, j)
                     e.add("(A1)(c)", f"[{al},{i},{j};k={k}]",
-                          _eq(e.s(k) + e.pair(al, i, j) + _iv(e.s(k)), rhs))
+                          _eq(e.s(k) + e.pair(al, i, j) + _inv(e.s(k)), rhs))
     for i in range(1, N + 1):
         e.add("(A2)(a)", f"[{i}]", _comm(e.rho, e.t(i)))
     _emit_rho_pairs(e, n, "(A2)(b)", "(A2)(c)")
@@ -468,8 +464,8 @@ def build_prop_LH(n: int) -> Presentation:
     _emit_lh_45(e, n)
     for i in range(1, n + 1):
         e.add("(6)(a)", f"[p,{i}]", _eq(e.pair("p", i, i + 1), e.s(i) + e.s(i)))
-        e.add("(6)(a)", f"[x,{i}]", _eq(e.pair("x", i, i + 1), e.s(i) + _iv(e.r(i))))
-        e.add("(6)(a)", f"[y,{i}]", _eq(e.pair("y", i, i + 1), _iv(e.r(i)) + e.s(i)))
+        e.add("(6)(a)", f"[x,{i}]", _eq(e.pair("x", i, i + 1), e.s(i) + _inv(e.r(i))))
+        e.add("(6)(a)", f"[y,{i}]", _eq(e.pair("y", i, i + 1), _inv(e.r(i)) + e.s(i)))
     for al in "pxy":
         for i in range(1, N + 1):
             for j in range(i + 2, N + 1):
@@ -477,17 +473,17 @@ def build_prop_LH(n: int) -> Presentation:
                 for a in range(j - 1, i, -1):
                     chain += e.s(a)
                 e.add("(6)(b)", f"[{al},{i},{j}]",
-                      _eq(e.pair(al, i, j), chain + e.pair(al, i, i + 1) + _iv(chain)))
+                      _eq(e.pair(al, i, j), chain + e.pair(al, i, i + 1) + _inv(chain)))
     e.add("(6)(c)", "", _eq(e.shift, _zeta_tokens(e, n)[n:]))
     for j in range(2, N + 1):
         for (al, be) in [("p", "p"), ("x", "y"), ("y", "x")]:
             e.add("(6)(d)", f"[{al}->{be},j={j}]",
-                  _eq(e.shift + e.pair(al, 1, j) + _iv(e.shift), e.pair(be, j - 1, N)))
+                  _eq(e.shift + e.pair(al, 1, j) + _inv(e.shift), e.pair(be, j - 1, N)))
     for i in range(2, N + 1):
         for j in range(i + 1, N + 1):
             for al in "pxy":
                 e.add("(6)(e)", f"[{al},{i},{j}]",
-                      _eq(e.shift + e.pair(al, i, j) + _iv(e.shift), e.pair(al, i - 1, j - 1)))
+                      _eq(e.shift + e.pair(al, i, j) + _inv(e.shift), e.pair(al, i - 1, j - 1)))
     _emit_rho_pairs(e, n, "(6)(f)", "(6)(g)")
     return e.build("prop-lh", n)
 
@@ -512,7 +508,7 @@ def build_SH(n: int, k: int) -> Presentation:
     e.add("(6)(a)", "[r1]", _comm(zeta, e.r(1)))
     rprod = zeta[:n]  # r_1 ... r_n
     e.add("(6)(b)", "", _eq(rprod + e.t(n + 1), e.t(1) + rprod))
-    e.add("(6)(c)", "", _eq(e.rho + zeta, _iv(zeta) + e.rho))
+    e.add("(6)(c)", "", _eq(e.rho + zeta, _inv(zeta) + e.rho))
     return e.build("sh", n, k)
 
 
@@ -555,7 +551,7 @@ def perm_assignment(pres: Presentation) -> dict[str, P.Perm]:
     corresponding braid words."""
     if pres.name != "vw":
         raise ValueError("perm_assignment is for the vw presentation")
-    return {g: B.perm_of_braid(B.parse_braid_text(g, n=pres.n)) for g in pres.generators}
+    return {g: B.perm_of_braid(b) for g, b in braid_assignment(pres).items()}
 
 
 def image_letters(relator: Word, assignment: dict[str, B.BraidWord]) -> list[int]:
@@ -564,7 +560,7 @@ def image_letters(relator: Word, assignment: dict[str, B.BraidWord]) -> list[int
     alph = relator.alphabet
     for c in relator.letters:
         w = assignment[alph.name(c)].letters
-        out.extend(w if c > 0 else (-x for x in reversed(w)))
+        out.extend(w if c > 0 else _inv(w))
     return out
 
 
@@ -615,13 +611,12 @@ def _verify_rows(m: int, items: list[tuple[str, str, list[int]]], target: str,
     return rows
 
 
-def verify(pres: Presentation, jobs: int = 1, budget: int = M.DEFAULT_BUDGET) -> VerificationReport:
+def verify(pres: Presentation, budget: int = M.DEFAULT_BUDGET) -> VerificationReport:
     """Verify every relator of a presentation under its generator assignment.
 
     Each relator's braid image closes up to the sphere level, or up to the
     permutation level for the finite quotient, which gets an extra row
-    checking the order of the generated image.  ``jobs`` is accepted for
-    compatibility and has no effect: verification is serial.
+    checking the order of the generated image.
     """
     params: dict = {"n": pres.n, "artin_convention": M.ARTIN_CONVENTION}
     if pres.k is not None:
@@ -633,7 +628,7 @@ def verify(pres: Presentation, jobs: int = 1, budget: int = M.DEFAULT_BUDGET) ->
     rows = _verify_rows(2 * pres.n + 2, items, "permutation" if vw else "sphere_mcg", budget)
     if vw:
         t0 = time.perf_counter_ns()
-        order = len(P.generated_subgroup(perm_assignment(pres).values()))
+        order = len(P.generated_subgroup(B.perm_of_braid(b) for b in assign.values()))
         want = 2 * math.factorial(pres.n + 1)
         rows.append(VerifyRow("(order)", "(order)", "ok" if order == want else "FAILED",
                               "permutation" if order == want else None,
@@ -676,23 +671,23 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
         for i in range(1, N + 1):
             for j in range(i + 2, N + 1):
                 e.add("slide-left", f"[{al},{i},{j}]",
-                      _eq(_iv(e.s(j - 1)) + e.pair(al, i, j) + e.s(j - 1), e.pair(al, i, j - 1)))
+                      _eq(_inv(e.s(j - 1)) + e.pair(al, i, j) + e.s(j - 1), e.pair(al, i, j - 1)))
             for j in range(i + 1, N + 1):
                 if i >= 2:
                     e.add("slide-up", f"[{al},{i},{j}]",
-                          _eq(_iv(e.s(i - 1)) + e.pair(al, i, j) + e.s(i - 1), e.pair(al, i - 1, j)))
+                          _eq(_inv(e.s(i - 1)) + e.pair(al, i, j) + e.s(i - 1), e.pair(al, i - 1, j)))
         for i in range(2, n + 1):
             for ex in (1, -1):
                 sL, sR = _pw(e.s(i - 1), ex), _pw(e.s(i), ex)
                 e.add("swap-conj", f"[{al},i={i},e={ex}]",
-                      _eq(sL + e.pair(al, i, i + 1) + _iv(sL), _iv(sR) + e.pair(al, i - 1, i) + sR))
+                      _eq(sL + e.pair(al, i, i + 1) + _inv(sL), _inv(sR) + e.pair(al, i - 1, i) + sR))
         for i in range(1, N + 1):
             for j in range(i + 2, N + 1):
                 pre: list[int] = []
                 for a in range(i, j - 1):
-                    pre += _iv(e.s(a))
+                    pre += _inv(e.s(a))
                 e.add("hoist", f"[{al},{i},{j}]",
-                      _eq(e.pair(al, i, j), pre + e.pair(al, j - 1, j) + _iv(pre)))
+                      _eq(e.pair(al, i, j), pre + e.pair(al, j - 1, j) + _inv(pre)))
 
     # rho commutes with the block twists
     for i in range(1, N + 1):
@@ -720,12 +715,11 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
     return out
 
 
-def verify_lemma_identities(n: int, jobs: int = 1,
-                            budget: int = M.DEFAULT_BUDGET) -> VerificationReport:
+def verify_lemma_identities(n: int, budget: int = M.DEFAULT_BUDGET) -> VerificationReport:
     """Verify the worked braid identities behind the presentations: the
     builders' relator families (dictionary, commutation schedules, shift and
     rho conjugation), ladders, slides, hoists, the loop and full-twist words.
-    Supported for n <= 3.  ``jobs`` has no effect, as in :func:`verify`."""
+    Supported for n <= 3."""
     _check_n(n)
     if n > 3:
         raise ValueError("identity suite is sized for n <= 3")

@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braids import BraidWord, braid_is_trivial, exponent_sum
+from .braids import BraidWord, braid_is_trivial, exponent_sum, perm_of_braid
 from .perms import is_liftable, perm_from_images, psi_of_braid_word
-from .words import Alphabet, Word, cyclically_reduce
+from .words import Alphabet, Word, _cat, _inv, cyclically_reduce, substitute
 
 DEFAULT_BUDGET = 10**6
 
@@ -93,7 +93,7 @@ def conjugation_auto(g: Word) -> FreeAuto:
     if g.alphabet != alph:
         raise ValueError("conjugator must live in the x-alphabet")
     gl = list(g.letters)
-    gi = [-c for c in reversed(gl)]
+    gi = _inv(gl)
     return FreeAuto(
         rank, tuple(Word(alph, tuple(_cat(_cat(list(gl), [i + 1]), gi))) for i in range(rank))
     )
@@ -104,23 +104,7 @@ def compose_autos(f: FreeAuto, g: FreeAuto) -> FreeAuto:
     if f.rank != g.rank:
         raise ValueError("rank mismatch")
     fmap = {i + 1: f.images[i] for i in range(f.rank)}
-    from .words import substitute
-
     return FreeAuto(f.rank, tuple(substitute(w, fmap) for w in g.images))
-
-
-def _cat(a: list, b) -> list:
-    """Concatenate reduced letter lists, cancelling across the seam."""
-    i = 0
-    while a and i < len(b) and a[-1] == -b[i]:
-        a.pop()
-        i += 1
-    a.extend(b[i:])
-    return a
-
-
-def _inv(ls) -> list:
-    return [-c for c in reversed(ls)]
 
 
 def artin_action(b: BraidWord, budget: int = DEFAULT_BUDGET) -> FreeAuto:
@@ -230,7 +214,7 @@ def closes_at(b: BraidWord, target: str, budget: int) -> str | None:
 def is_liftable_class(b: BraidWord) -> bool:
     """Liftability of the underlying marked-sphere class depends only on the
     induced point permutation's interaction with the odd/even partition."""
-    return is_liftable(psi_of_braid_word(b.word, b.strands))
+    return is_liftable(perm_of_braid(b))
 
 
 def class_of_puncture(a: FreeAuto, i: int) -> int:

@@ -3,6 +3,8 @@
 Letters are nonzero signed integers: ``+k`` is the k-th generator (1-based),
 ``-k`` its inverse.  Every :class:`Word` is freely reduced -- no adjacent
 ``x, -x`` pair survives construction.  All operations reduce their results.
+``_inv`` and ``_cat`` are the package's one spelling of letter inversion and
+seam-cancelling concatenation; the other modules import them.
 
 Composition convention used across the package: in a product the *right*
 factor acts first.  Words are read left to right, so ``u * v`` means "do v,
@@ -73,6 +75,22 @@ def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cat(a: list[int], b: Sequence[int]) -> list[int]:
+    """Append the reduced letters ``b`` to the reduced list ``a`` in place;
+    only the seam can cancel, so neither side is rescanned.  Returns ``a``."""
+    i = 0
+    while a and i < len(b) and a[-1] == -b[i]:
+        a.pop()
+        i += 1
+    a.extend(b[i:])
+    return a
+
+
+def _inv(letters: Sequence[int]) -> list[int]:
+    """The letters of the inverse word: negated and reversed."""
+    return [-c for c in reversed(letters)]
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word.  Construct through :func:`reduce`."""
@@ -128,17 +146,11 @@ def reduce(alphabet: Alphabet, letters: Iterable[int]) -> Word:
 def multiply(u: Word, v: Word) -> Word:
     if u.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    # only the seam can cancel; avoid rescanning both words
-    a, b = list(u.letters), v.letters
-    i = 0
-    while a and i < len(b) and a[-1] == -b[i]:
-        a.pop()
-        i += 1
-    return Word(u.alphabet, tuple(a) + b[i:])
+    return Word(u.alphabet, tuple(_cat(list(u.letters), v.letters)))
 
 
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple(-c for c in reversed(w.letters)))
+    return Word(w.alphabet, tuple(_inv(w.letters)))
 
 
 def conjugate(w: Word, h: Word) -> Word:
@@ -176,11 +188,7 @@ def substitute(w: Word, images: Mapping[int, Word]) -> Word:
         if k not in images:
             raise ValueError(f"no image for generator {k}")
         img = images[k].letters
-        for d in (img if c > 0 else tuple(-x for x in reversed(img))):
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
+        _cat(out, img if c > 0 else _inv(img))
     return Word(target, tuple(out))
 
 

@@ -59,6 +59,17 @@ def test_only_the_ladder_calls_the_word_problem_oracles():
     assert not found, found
 
 
+def test_only_words_spells_the_letter_arithmetic():
+    # inverting a letter sequence and concatenating with cancellation at the
+    # seam are words._inv and words._cat; other modules import them
+    spellings = re.compile(r"-(\w+) for \1 in reversed\(|\[-1\] == -")
+    found = [f"{path.name}:{i} {m.group()}" for path in sorted(SRC.rglob("*.py"))
+             if path.name != "words.py"
+             for i, line in enumerate(path.read_text().splitlines(), start=1)
+             for m in spellings.finditer(line)]
+    assert not found, found
+
+
 def _bound_names(stmt):
     if isinstance(stmt, ast.FunctionDef):
         return [stmt.name]

@@ -232,15 +232,6 @@ def test_vw_wrong_relator_fails_its_row_through_the_shared_ladder(monkeypatch):
     assert {r.id: (r.status, r.closes_at) for r in rep.rows} == want
 
 
-def test_parallel_verification_matches_serial():
-    # verification is serial; jobs is accepted for compatibility and changes
-    # no row
-    pres = build_LH(5)
-    assert [(r.id, r.status, r.closes_at) for r in verify(pres, jobs=1).rows] == [
-        (r.id, r.status, r.closes_at) for r in verify(pres, jobs=2).rows
-    ]
-
-
 def test_tiny_budget_leaves_sphere_rows_unresolved():
     rep = verify(build_LH(1), budget=1)
     assert not rep.ok

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from hilden.words import (
     Alphabet,
     Word,
+    _cat,
+    _inv,
+    _reduce_letters,
     conjugate,
     cyclically_reduce,
     format_word,
@@ -188,6 +191,15 @@ def test_word_times_inverse_is_identity(ls):
     u = reduce(AB, ls)
     assert (u * u.inverse()).letters == ()
     assert (u.inverse() * u).letters == ()
+
+
+@settings(max_examples=200)
+@given(letters_st, letters_st)
+def test_letter_kernel_agrees_with_free_reduction(ls, ms):
+    a, b = _reduce_letters(ls), _reduce_letters(ms)
+    assert _cat(list(a), b) == list(_reduce_letters(a + b))
+    assert tuple(_inv(_inv(a))) == a
+    assert _cat(list(a), _inv(a)) == []
 
 
 @settings(max_examples=200)
