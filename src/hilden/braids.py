@@ -12,7 +12,9 @@ left-weighted list, sliding each backward until the first pair that is
 already left-weighted.  ``_slide`` left-weights one pair in a single forward
 scan that steps back once after each swap.  ``braid_is_trivial`` splits the
 word into runs of consecutive generator indices and needs a trivial normal
-form of each run's subword on its own strands only.
+form of each run's subword on its own strands only.  ``nf_multiply`` and
+``nf_inverse`` normalize the word of the product or of the inverse, so
+``normal_form`` is the one place a normal form is built.
 
 Also here: the generator dictionary expanding the named elements of the
 two-string-per-block setup (m = 2n + 2) into explicit band-generator words:
@@ -21,11 +23,9 @@ two-string-per-block setup (m = 2n + 2) into explicit band-generator words:
     r_i   = g_{2i}^-1 g_{2i+1}^-1 g_{2i-1} g_{2i}  (twisted block swap)
     t_i   = g_{2i-1}^2                             (block full twist, i = 1..n+1)
     rho   = g_1 g_3 ... g_{2n+1}                   (global block flip)
-    h_i   = g_i g_{i+1} g_i                        (half twist on 3 points)
     p_{i,j}, x_{i,j}, y_{i,j}                      (pair elements, see below)
     shift = s_n ... s_2 s_1 t_1                    (block rotation)
     z     = g_1 .. g_{2n+1} g_{2n+1} .. g_1        (first-point loop)
-    delta, full_twist                              (Garside element, its square)
 
 Pair elements at adjacent indices are p = s_i^2, x = s_i r_i^-1,
 y = r_i^-1 s_i; general p/x/y_{i,j} conjugate the adjacent case by a chain of
@@ -80,8 +80,6 @@ class BraidWord:
 
 def braid_word(m: int, letters) -> BraidWord:
     """Freely reduce signed generator indices into a braid word."""
-    if isinstance(letters, Word):
-        letters = letters.letters
     return BraidWord(m, word_reduce(sigma_alphabet(m), letters))
 
 
@@ -100,37 +98,10 @@ def perm_of_braid(b: BraidWord) -> Perm:
 
 # --- Garside machinery on raw 0-based permutation tuples ---------------------
 
-def _idt(m: int) -> tuple[int, ...]:
-    return tuple(range(m))
-
-
-def _w0(m: int) -> tuple[int, ...]:
-    return tuple(range(m - 1, -1, -1))
-
-
-def _pmul(f, g):
-    """f after g."""
-    return tuple(f[g[x]] for x in range(len(f)))
-
-
-def _pinv(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
 def _tau(p):
     """Conjugation by the half twist: tau(p) = w0 . p . w0."""
     m = len(p)
     return tuple(m - 1 - p[m - 1 - i] for i in range(m))
-
-
-def _left_comp(p):
-    """Permutation of delta . p^-1, the positive complement of p^-1."""
-    m = len(p)
-    inv = _pinv(p)
-    return tuple(m - 1 - inv[i] for i in range(m))
 
 
 def _slide(a, b):
@@ -174,7 +145,7 @@ def _normalize_factors(factors: list, m: int) -> tuple[int, tuple]:
     as the identity: every earlier factor keeps a starter that its left
     neighbour already finishes.
     """
-    ident = _idt(m)
+    ident = tuple(range(m))
     fs: list = []
     for f in factors:
         if f == ident:
@@ -187,7 +158,7 @@ def _normalize_factors(factors: list, m: int) -> tuple[int, tuple]:
             fs[j], fs[j + 1] = a, b
         if fs[-1] == ident:
             fs.pop()
-    w0 = _w0(m)
+    w0 = tuple(range(m - 1, -1, -1))
     surplus = 0
     while fs and fs[0] == w0:
         surplus += 1
@@ -206,19 +177,6 @@ class GarsideNF:
         return len(self.factors)
 
 
-def _assemble(m: int, entries) -> GarsideNF:
-    """Entries are (delta exponent, factor) pairs in word order; pull all
-    delta powers to the front (factors pass through via tau) and normalize."""
-    t = 0
-    factors = []
-    for e, p in reversed(entries):
-        factors.append(_tau(p) if t % 2 else p)
-        t += e
-    factors.reverse()
-    surplus, fs = _normalize_factors(factors, m)
-    return GarsideNF(m, t + surplus, tuple(Perm(f) for f in fs))
-
-
 def normal_form(b: BraidWord) -> GarsideNF:
     """Garside left normal form; equal braids get identical normal forms.
 
@@ -228,7 +186,8 @@ def normal_form(b: BraidWord) -> GarsideNF:
     and R[i + 1], which lengthens R exactly when R[i] < R[i + 1].  A
     positive run is the factor R itself.  A negative run x_1^-1 .. x_k^-1 is
     Q^-1 with Q = x_k .. x_1, so R is the permutation of Q^-1, and the run
-    enters as delta^-1 . (delta . Q^-1), the factor w0 . R.
+    enters as delta^-1 . (delta . Q^-1), the factor w0 . R.  Each delta^-1
+    moves to the front; a factor it passes becomes its conjugate tau.
     """
     m = b.strands
     runs = []  # (a letter of the run, its permutation), in word order
@@ -238,25 +197,26 @@ def normal_form(b: BraidWord) -> GarsideNF:
             cur = list(range(m))
             runs.append((c, cur))
         cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    w0 = _w0(m)
-    entries = [(0, tuple(r)) if c > 0 else (-1, _pmul(w0, r)) for c, r in runs]
-    return _assemble(m, entries)
+    t = 0  # delta exponent of the runs after the current one
+    factors = []
+    for c, r in reversed(runs):
+        f = tuple(r) if c > 0 else tuple(m - 1 - v for v in r)  # w0 . R
+        factors.append(_tau(f) if t % 2 else f)
+        if c < 0:
+            t -= 1
+    factors.reverse()
+    surplus, fs = _normalize_factors(factors, m)
+    return GarsideNF(m, t + surplus, tuple(Perm(f) for f in fs))
 
 
 def nf_multiply(a: GarsideNF, b: GarsideNF) -> GarsideNF:
     if a.strands != b.strands:
         raise ValueError("strand count mismatch")
-    entries = [(a.power, _idt(a.strands))]
-    entries += [(0, f.images) for f in a.factors]
-    entries += [(b.power, _idt(a.strands))]
-    entries += [(0, f.images) for f in b.factors]
-    return _assemble(a.strands, entries)
+    return normal_form(nf_to_braid_word(a) * nf_to_braid_word(b))
 
 
 def nf_inverse(a: GarsideNF) -> GarsideNF:
-    entries = [(-1, _left_comp(f.images)) for f in reversed(a.factors)]
-    entries.append((-a.power, _idt(a.strands)))
-    return _assemble(a.strands, entries)
+    return normal_form(nf_to_braid_word(a).inverse())
 
 
 def braid_is_trivial(b: BraidWord) -> bool:
@@ -403,10 +363,6 @@ def build_generator(name: str, n: int, i: int | None = None, j: int | None = Non
         return braid_word(m, _r_letters(need_i(1, n)))
     if name == "t":
         return braid_word(m, _t_letters(need_i(1, n + 1)))
-    if name == "h":
-        return braid_word(m, (need_i(1, m - 2), i + 1, i))
-    if name == "sigma":
-        return braid_word(m, (need_i(1, m - 1),))
     if name in ("p", "x", "y"):
         if i is None or j is None:
             raise ValueError(f"generator {name!r} takes two indices")
@@ -422,10 +378,6 @@ def build_generator(name: str, n: int, i: int | None = None, j: int | None = Non
         return braid_word(m, _shift_letters(n))
     if name == "z":
         return braid_word(m, _z_letters(n))
-    if name == "delta":
-        return delta(m)
-    if name == "full_twist":
-        return full_twist(m)
     raise ValueError(f"unknown generator name {name!r}")
 
 

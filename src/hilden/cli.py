@@ -38,13 +38,14 @@ _GROUPS = ("lh", "ph", "ph1", "prop-lh", "intermediate-lh", "sh", "vw", "lemmas"
 
 def _parse_range(text: str) -> list[int]:
     """'3' -> [3]; '1..10' -> [1, ..., 10]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = list(range(int(lo), int(hi) + 1))
-        if not out:
-            raise ValueError(f"empty range {text!r}")
-        return out
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        out = list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+    except ValueError:
+        raise ValueError(f"bad range {text!r}: use N or LO..HI") from None
+    if not out:
+        raise ValueError(f"empty range {text!r}")
+    return out
 
 
 @functools.cache

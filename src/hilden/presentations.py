@@ -247,6 +247,12 @@ def _emit_s_rho_comm(e: _Emitter, n: int, tag: str) -> None:
         e.add(tag, f"[{i}]", _comm(e.s(i), e.rho))
 
 
+def _emit_rho_t_comm(e: _Emitter, n: int, tag: str) -> None:
+    """rho commutes with the block twists t_1 .. t_{n+1}."""
+    for i in range(1, n + 2):
+        e.add(tag, f"[{i}]", _comm(e.rho, e.t(i)))
+
+
 def _emit_rho_pairs(e: _Emitter, n: int, p_tag: str, xy_tag: str) -> None:
     """rho commutes with p_{i,j} and sends x/y_{i,j} to its inverse times p_{i,j}."""
     for i in range(1, n + 2):
@@ -447,8 +453,7 @@ def build_intermediate_LH(n: int) -> Presentation:
                         rhs = e.pair(al, i, j)
                     e.add("(A1)(c)", f"[{al},{i},{j};k={k}]",
                           _eq(e.s(k) + e.pair(al, i, j) + _inv(e.s(k)), rhs))
-    for i in range(1, N + 1):
-        e.add("(A2)(a)", f"[{i}]", _comm(e.rho, e.t(i)))
+    _emit_rho_t_comm(e, n, "(A2)(a)")
     _emit_rho_pairs(e, n, "(A2)(b)", "(A2)(c)")
     return e.build("intermediate-lh", n)
 
@@ -689,9 +694,7 @@ def _lemma_schedule(n: int) -> list[tuple[str, str, list[int]]]:
                 e.add("hoist", f"[{al},{i},{j}]",
                       _eq(e.pair(al, i, j), pre + e.pair(al, j - 1, j) + _inv(pre)))
 
-    # rho commutes with the block twists
-    for i in range(1, N + 1):
-        e.add("rho-t-comm", f"[{i}]", _comm(e.rho, e.t(i)))
+    _emit_rho_t_comm(e, n, "rho-t-comm")
 
     # families the builders emit, expanded through their assignments.  (4)
     # and (5) are sphere-level words, (6)(b) and (6)(c) restate the

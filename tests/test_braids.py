@@ -240,6 +240,9 @@ def test_build_generator_validation():
         build_generator("p", 2, 2, 2)  # pair needs i != j
     with pytest.raises(ValueError):
         build_generator("rho", 2, 1)  # rho takes no index
+    for name, idx in (("h", (1,)), ("sigma", (1,)), ("delta", ()), ("full_twist", ())):
+        with pytest.raises(ValueError):
+            build_generator(name, 2, *idx)  # no longer in the dictionary
 
 
 def test_generator_images_land_in_the_right_cosets():
@@ -328,17 +331,27 @@ word_st = st.lists(
 )
 
 
+def _letters_st(m):
+    return st.lists(st.integers(1 - m, m - 1).filter(bool), max_size=16)
+
+
+pair_word_st = st.integers(2, 7).flatmap(
+    lambda m: st.tuples(st.just(m), _letters_st(m), _letters_st(m)))
+
+
 @settings(max_examples=80, deadline=None)
-@given(word_st, word_st)
-def test_nf_multiply_agrees_with_concatenation(ls, ms):
-    a, b = braid_word(4, ls), braid_word(4, ms)
+@given(pair_word_st)
+def test_nf_multiply_agrees_with_concatenation(case):
+    m, ls, ms = case
+    a, b = braid_word(m, ls), braid_word(m, ms)
     assert nf_multiply(normal_form(a), normal_form(b)) == normal_form(a * b)
 
 
 @settings(max_examples=80, deadline=None)
-@given(word_st)
-def test_nf_inverse_agrees_with_word_inverse(ls):
-    b = braid_word(4, ls)
+@given(st.integers(2, 7).flatmap(lambda m: st.tuples(st.just(m), _letters_st(m))))
+def test_nf_inverse_agrees_with_word_inverse(case):
+    m, ls = case
+    b = braid_word(m, ls)
     assert nf_inverse(normal_form(b)) == normal_form(b.inverse())
     assert braid_is_trivial(b * b.inverse())
 

@@ -326,6 +326,10 @@ def test_usage_errors_exit_two():
     assert run(["verify", "--group", "lh"])[0] == 2
     assert run(["verify", "--group", "lh", "--n", "0"])[0] == 2
     assert run(["h1", "--group", "lh", "--n", "10..1"])[0] == 2
+    for k in ("3..", "3,4"):
+        code, out, err = run(["h1", "--group", "sh", "--n", "1", "--k", k])
+        assert (code, out) == (2, "")
+        assert f"bad range '{k}': use N or LO..HI" in err
     assert run(["verify", "--group", "vw", "--n", "1", "--jobs", "0"])[0] == 2
     assert run(["verify", "--group", "vw", "--n", "1", "--budget", "-5"])[0] == 2
 

@@ -108,3 +108,16 @@ def test_every_private_constant_is_used():
     # so is a private module constant, such as a table whose reader is gone
     unused = _unused_private_names((ast.Assign, ast.AnnAssign))
     assert not unused, unused
+
+
+def test_only_normal_form_builds_a_normal_form():
+    # nf_multiply and nf_inverse normalize a word, so a GarsideNF has one road
+    tree = ast.parse((SRC / "braids.py").read_text())
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("_normalize_factors", "GarsideNF")):
+                where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+                found.append(f"{where}:{node.lineno} {node.func.id}")
+    assert found and all(f.startswith("normal_form:") for f in found), found
