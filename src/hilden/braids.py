@@ -210,8 +210,6 @@ def normal_form(b: BraidWord) -> GarsideNF:
 
 
 def nf_multiply(a: GarsideNF, b: GarsideNF) -> GarsideNF:
-    if a.strands != b.strands:
-        raise ValueError("strand count mismatch")
     return normal_form(nf_to_braid_word(a) * nf_to_braid_word(b))
 
 

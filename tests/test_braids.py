@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hilden import braids
 from hilden.braids import (
     BraidWord,
+    GarsideNF,
     braid_word,
     braids_equal,
     braid_is_trivial,
@@ -26,7 +27,7 @@ from hilden.braids import (
     perm_of_braid,
     sigma_alphabet,
 )
-from hilden.perms import identity_perm, psi_of_braid_word
+from hilden.perms import Perm, identity_perm, psi_of_braid_word
 from hilden.presentations import (Presentation, braid_assignment, build_LH, build_PH,
                                   image_letters, verify)
 
@@ -102,6 +103,8 @@ def test_published_normal_form_example():
     assert (sq.power, sq.canonical_length) == (2, 22)
     assert nf_multiply(nf, nf) == sq
     assert nf_multiply(sq, nf_inverse(sq)) == normal_form(braid_word(4, []))
+    with pytest.raises(ValueError):
+        nf_multiply(nf, normal_form(braid_word(5, [])))  # strand count mismatch
 
 
 def test_nf_round_trip_through_word():
@@ -331,10 +334,12 @@ word_st = st.lists(
 )
 
 
-def _letters_st(m):
-    return st.lists(st.integers(1 - m, m - 1).filter(bool), max_size=16)
+def _letters_st(m, max_size=16):
+    """Signed generator indices of a braid word on m strands."""
+    return st.lists(st.integers(1 - m, m - 1).filter(bool), max_size=max_size)
 
 
+one_word_st = st.integers(2, 7).flatmap(lambda m: st.tuples(st.just(m), _letters_st(m)))
 pair_word_st = st.integers(2, 7).flatmap(
     lambda m: st.tuples(st.just(m), _letters_st(m), _letters_st(m)))
 
@@ -348,12 +353,13 @@ def test_nf_multiply_agrees_with_concatenation(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(2, 7).flatmap(lambda m: st.tuples(st.just(m), _letters_st(m))))
+@given(one_word_st)
 def test_nf_inverse_agrees_with_word_inverse(case):
     m, ls = case
     b = braid_word(m, ls)
-    assert nf_inverse(normal_form(b)) == normal_form(b.inverse())
-    assert braid_is_trivial(b * b.inverse())
+    inv = nf_inverse(normal_form(b))
+    assert inv == normal_form(b.inverse())
+    assert braid_is_trivial(nf_to_braid_word(inv) * b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -374,8 +380,7 @@ def test_nf_preserves_the_underlying_permutation(ls):
     assert acc == perm_of_braid(b)
 
 
-long_word_st = st.integers(3, 10).flatmap(
-    lambda m: st.tuples(st.just(m), st.lists(st.integers(1 - m, m - 1).filter(bool), max_size=60)))
+long_word_st = st.integers(3, 10).flatmap(lambda m: st.tuples(st.just(m), _letters_st(m, 60)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -433,11 +438,22 @@ def test_normal_form_packs_letter_runs(monkeypatch):
 
 
 def _letter_fold(m, ls):
-    """The normal form built by entering every letter as its own factor."""
-    nf = normal_form(braid_word(m, []))
-    for c in ls:
-        nf = nf_multiply(nf, normal_form(braid_word(m, [c])))
-    return nf
+    """The normal form built by entering every letter as its own factor.
+
+    g_i is the transposition s_i; g_i^-1 is delta^-1 . (w0 . s_i), and its
+    delta^-1 moves to the front, turning each factor it passes into tau of it.
+    """
+    power, factors = 0, []
+    for c in braid_word(m, ls).letters:
+        s = list(range(m))
+        s[abs(c) - 1], s[abs(c)] = s[abs(c)], s[abs(c) - 1]
+        if c < 0:
+            power -= 1
+            factors = [braids._tau(f) for f in factors]
+            s = [m - 1 - v for v in s]
+        factors.append(tuple(s))
+    surplus, fs = braids._normalize_factors(factors, m)
+    return GarsideNF(m, power + surplus, tuple(Perm(f) for f in fs))
 
 
 @settings(max_examples=150, deadline=None)
