@@ -722,10 +722,10 @@ def verify_lemma_identities(n: int, budget: int = M.DEFAULT_BUDGET) -> Verificat
     """Verify the worked braid identities behind the presentations: the
     builders' relator families (dictionary, commutation schedules, shift and
     rho conjugation), ladders, slides, hoists, the loop and full-twist words.
-    Supported for n <= 3."""
+    Supported for n <= 5."""
     _check_n(n)
-    if n > 3:
-        raise ValueError("identity suite is sized for n <= 3")
+    if n > 5:
+        raise ValueError("identity suite is sized for n <= 5")
     rows = _verify_rows(2 * n + 2, _lemma_schedule(n), "sphere_mcg", budget)
     return VerificationReport("lemmas", {"n": n, "artin_convention": M.ARTIN_CONVENTION},
                               tuple(rows))

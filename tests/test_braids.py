@@ -2,6 +2,7 @@
 
 import random
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,9 @@ from hilden.braids import (
     sigma_alphabet,
 )
 from hilden.perms import Perm, identity_perm, psi_of_braid_word
-from hilden.presentations import (Presentation, braid_assignment, build_LH, build_PH,
-                                  image_letters, verify)
+from hilden.presentations import (Presentation, _lemma_schedule, braid_assignment, build_LH,
+                                  build_PH, build_SH, build_intermediate_LH, image_letters,
+                                  verify)
 
 
 # --- construction --------------------------------------------------------------
@@ -435,6 +437,36 @@ def test_normal_form_packs_letter_runs(monkeypatch):
     # One factor per letter costs about 2.6 slides per letter on these words;
     # packing runs into permutation braids leaves about 0.64.
     assert _slides_per_letter(monkeypatch) <= 1
+
+
+def test_left_weighting_cache_is_bounded():
+    maxsize = braids._slide.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+def _relator_normal_forms():
+    """(power, factors) of every relator image of three builders at n = 2 and
+    of the identity schedule, and of the first half of each (mostly not
+    trivial), all on 6 strands."""
+    words = []
+    for pres in (build_PH(2), build_intermediate_LH(2), build_SH(2, 3)):
+        assign = braid_assignment(pres)
+        words += [image_letters(rel, assign) for rel in pres.relators]
+    words += [letters for _, _, letters in _lemma_schedule(2)]
+    words += [ls[:len(ls) // 2] for ls in words]
+    return [(nf.power, nf.factors) for nf in (normal_form(braid_word(6, ls)) for ls in words)]
+
+
+def test_normal_forms_do_not_depend_on_the_cache_state(monkeypatch):
+    braids._slide.cache_clear()
+    cold = _relator_normal_forms()
+    assert any(factors for _, factors in cold)
+    hits = braids._slide.cache_info().hits
+    assert _relator_normal_forms() == cold
+    assert braids._slide.cache_info().hits > hits  # the second pass read the cache
+    # A one-entry cache evicts on every miss.
+    monkeypatch.setattr(braids, "_slide", lru_cache(maxsize=1)(braids._slide.__wrapped__))
+    assert _relator_normal_forms() == cold
 
 
 def _letter_fold(m, ls):

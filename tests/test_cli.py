@@ -57,6 +57,12 @@ def test_verify_lemmas_rejects_k_like_every_group_without_one():
     assert code == 2 and "presentation 'lh' takes no k" in err
 
 
+def test_verify_lemmas_past_n5_is_a_usage_error():
+    code, out, err = run(["verify", "--group", "lemmas", "--n", "6"])
+    assert code == 2 and out == ""
+    assert "identity suite is sized for n <= 5" in err
+
+
 def test_verify_records_the_artin_convention():
     code, d, _ = run_json(["verify", "--group", "ph", "--n", "1"])
     assert code == 0

@@ -101,6 +101,10 @@ LEMMA_SCHEDULE = {
         "15fb542533dd5c31093c478683f166136f460fd9eac4574006fe52e9a824afe8",
     3:
         "3994d839e4e776a61f70418cf55a38c95db98218bcf1f1ba318866143fc53124",
+    4:
+        "8cf6af5e32714428009c3b11de208e5784ace1796dffb0dc324a4deba239c950",
+    5:
+        "7878eb0441841ef1c2a3fb2f2a34e9887ed121f09bc2d9b48e2d09e1808620ed",
 }
 
 

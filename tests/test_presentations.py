@@ -252,7 +252,7 @@ def test_report_counts_and_ok():
 # --- consequence identities ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,rows", [(1, 38), (2, 152)])
+@pytest.mark.parametrize("n,rows", [(1, 38), (2, 152), (4, 843), (5, 1584)])
 def test_lemma_identities_close_at_braid_level(n, rows):
     rep = verify_lemma_identities(n)
     assert rep.ok and len(rep.rows) == rows
@@ -261,7 +261,7 @@ def test_lemma_identities_close_at_braid_level(n, rows):
 
 def test_lemma_identities_cap():
     with pytest.raises(ValueError):
-        verify_lemma_identities(4)
+        verify_lemma_identities(6)
 
 
 # --- relators really die in the braid group where recorded ---------------------------
